@@ -124,10 +124,6 @@ class CoeffSeries(NamedTuple):
         return list(self.coeffs)
 
 
-def from_function(f, N: int) -> CoeffSeries:
-    return CoeffSeries(tuple(f(n) for n in range(1, N + 1)))
-
-
 def delta_series(N: int) -> CoeffSeries:
     """Convolution identity (1, 0, 0, ...)."""
     return CoeffSeries((1,) + (0,) * (N - 1))

@@ -18,10 +18,10 @@ description, realized here by three descriptor records:
   by six parameters (k, l, m, u, v, w) with k, l, m odd, k*l*m = index,
   0 <= u < l, 0 <= v < m, 0 <= w < k.
 
-Conjugation of descriptors is computed exactly: conjugate the generating
-elements with the group arithmetic and re-extract the canonical parameters.
-The textbook action formulas are therefore test assertions here, not trusted
-inputs.
+Conjugation of descriptors is computed exactly by closed-form affine maps on
+the parameters; these formulas are the implementation.  The group arithmetic
+is their independent witness in the test suite, which conjugates generators
+and checks that they land in the computed image of the same index.
 
 Counting functions named ``count_s`` (subgroups) and ``count_c`` (conjugacy
 classes = equivalence classes of coverings) return the closed-form values;
@@ -294,65 +294,39 @@ def index_of(d: Descriptor) -> int:
 # Conjugation
 # ---------------------------------------------------------------------------
 
-def _plane_coords(axis: str, g: Element) -> tuple[int, int]:
-    vec = _vec(g)
-    p1, p2 = _PLANE_POS[axis]
-    return vec[p1], vec[p2]
-
-
-def _g2_extract(axis: str, k: int, ga: Element, gb: Element, gz: Element) -> G2Descriptor:
-    """Canonical descriptor of the subgroup <ga, gb, gz> of Gamma_axis.
-
-    ga, gb must lie in the complementary plane lattice and gz must carry
-    axis-exponent +-k; any generating triple of that shape works, which is
-    what makes exact conjugation possible.
-    """
-    if ga.letter != E or gb.letter != E:
-        raise ValueError("plane generators left the translation lattice")
-    lat = hnf2_of([_plane_coords(axis, ga), _plane_coords(axis, gb)])
-    if gz.letter != axis:
-        raise ValueError("distinguished generator changed letter under conjugation")
-    apos = _AXIS_POS[axis]
-    if 2 * _vec(gz)[apos] + 1 < 0:
-        gz = gz.inverse()
-    if 2 * _vec(gz)[apos] + 1 != k:
-        raise ValueError("axis exponent magnitude changed under conjugation")
-    s0, t0 = _plane_coords(axis, gz)
-    s, t = lat.reduce_coset(s0, t0)
-    return G2Descriptor(axis, k, lat, s, t)
-
-
-def _g6_extract(gx: Element, gy: Element, gz: Element) -> G6Descriptor:
-    """Canonical 6-parameter descriptor from any letter-x/y/z generator triple."""
-    if (gx.letter, gy.letter, gz.letter) != ("x", "y", "z"):
-        raise ValueError("generator letters changed under conjugation")
-    if gx.exponents()[0] < 0:
-        gx = gx.inverse()
-    if gy.exponents()[1] < 0:
-        gy = gy.inverse()
-    if gz.exponents()[2] < 0:
-        gz = gz.inverse()
-    m = gx.exponents()[0]
-    k = gy.exponents()[1]
-    l = gz.exponents()[2]
-    B = gx.exponents()[1] % (2 * k)
-    C = gx.exponents()[2] % (2 * l)
-    A = gy.exponents()[0] % (2 * m)
-    w = ((B - (1 - k)) // 2) % k
-    u = ((C - (l - 1)) // 2) % l
-    v = ((A - (m - 1)) // 2) % m
-    return G6Descriptor(k, l, m, u, v, w)
+# Shifts added by conjugation by a letter: to the G2 coset representative
+# (s, t), indexed by the letter's cyclic offset (letter - axis) mod 3 from the
+# axis, and to the G6 parameters (u, v, w), indexed by the letter.
+_G2_LETTER_SHIFT = ((0, 0), (-1, -1), (1, -1))
+_G6_LETTER_SHIFT = {E: (0, 0, 0), "x": (1, -1, -1), "y": (0, 1, -1), "z": (-1, 0, 0)}
 
 
 def conjugate_descriptor(d: Descriptor, v: Element) -> Descriptor:
-    """Descriptor of v * Delta * v**-1, renormalized to canonical parameters."""
+    """Descriptor of v * Delta * v**-1, renormalized to canonical parameters.
+
+    With v = letter . x^(2a) y^(2b) z^(2c), conjugation by the translation
+    acts first: it shifts the parameters by -2 (a, b, c) read in their own
+    coordinates ((s, t) on the axis plane, (u, v, w) on z, x, y).  The letter
+    then multiplies them by its sign pattern SIGNS[letter] and adds its shift.
+    """
+    signs = SIGNS[v.letter]
     if isinstance(d, Z3Descriptor):
-        return Z3Descriptor(transform3(d.lattice, SIGNS[v.letter]))
+        return Z3Descriptor(transform3(d.lattice, signs))
     if isinstance(d, G2Descriptor):
-        ga, gb, gz = (g.conjugated_by(v) for g in generators(d))
-        return _g2_extract(d.axis, d.k, ga, gb, gz)
-    gx, gy, gz = (g.conjugated_by(v) for g in generators(d))
-    return _g6_extract(gx, gy, gz)
+        p1, p2 = _PLANE_POS[d.axis]
+        half = _vec(v)
+        s, t = d.s - 2 * half[p1], d.t - 2 * half[p2]
+        lat = d.lattice
+        if v.letter != E:
+            ds, dt = _G2_LETTER_SHIFT[(_AXIS_POS[v.letter] - _AXIS_POS[d.axis]) % 3]
+            lat = transform2(lat, (signs[p1], signs[p2]))
+            s, t = signs[p1] * s + ds, signs[p2] * t + dt
+        return G2Descriptor(d.axis, d.k, lat, *lat.reduce_coset(s, t))
+    du, dv, dw = _G6_LETTER_SHIFT[v.letter]
+    k, l, m = d.k, d.l, d.m
+    return G6Descriptor(k, l, m, (signs[2] * (d.u - 2 * v.c) + du) % l,
+                        (signs[0] * (d.v - 2 * v.a) + dv) % m,
+                        (signs[1] * (d.w - 2 * v.b) + dw) % k)
 
 
 _CONJUGATORS = (GEN_X, GEN_Y, GEN_Z)
@@ -703,16 +677,34 @@ def to_json_dict(d: Descriptor) -> dict:
     return {"type": "g6", "k": d.k, "l": d.l, "m": d.m, "u": d.u, "v": d.v, "w": d.w}
 
 
+# Canonical parameter ranges enforced by from_json_dict, checked in order:
+# "pos" means >= 1, "odd" an odd value >= 1, and an earlier field f 0 <= value < f.
+_FIELD_RANGES = {
+    "z3": (("a", "pos"), ("b", "pos"), ("c", "pos"), ("d", "b"), ("e", "c"), ("f", "c")),
+    "g2": (("k", "odd"), ("a", "pos"), ("b", "pos"), ("c", "b"), ("s", "b"), ("t", "a")),
+    "g6": (("k", "odd"), ("l", "odd"), ("m", "odd"), ("u", "l"), ("v", "m"), ("w", "k")),
+}
+
+
 def from_json_dict(obj: dict) -> Descriptor:
+    """Parse a descriptor, raising ValueError for a field outside its range."""
     tag = obj["type"]
+    if tag not in _FIELD_RANGES:
+        raise ValueError(f"unknown descriptor type {tag!r}")
+    p: dict[str, int] = {}
+    for field, rule in _FIELD_RANGES[tag]:
+        val = p[field] = int(obj[field])
+        if rule in p:
+            ok, need = 0 <= val < p[rule], f"in [0, {rule}) = [0, {p[rule]})"
+        else:
+            ok = val >= 1 and (rule == "pos" or val % 2 == 1)
+            need = ">= 1" if rule == "pos" else "odd and >= 1"
+        if not ok:
+            raise ValueError(f"{tag} descriptor field {field!r} = {val} must be {need}")
     if tag == "z3":
-        return Z3Descriptor(Hnf3(c=int(obj["c"]), e=int(obj["e"]), f=int(obj["f"]),
-                                 b=int(obj["b"]), d=int(obj["d"]), a=int(obj["a"])))
+        return Z3Descriptor(Hnf3(**p))
     if tag == "g2":
-        return G2Descriptor(obj["axis"], int(obj["k"]),
-                            Hnf2(b=int(obj["b"]), c=int(obj["c"]), a=int(obj["a"])),
-                            int(obj["s"]), int(obj["t"]))
-    if tag == "g6":
-        return G6Descriptor(int(obj["k"]), int(obj["l"]), int(obj["m"]),
-                            int(obj["u"]), int(obj["v"]), int(obj["w"]))
-    raise ValueError(f"unknown descriptor type {tag!r}")
+        if obj["axis"] not in AXES:
+            raise ValueError(f"g2 descriptor field 'axis' = {obj['axis']!r} must be x, y or z")
+        return G2Descriptor(obj["axis"], p["k"], Hnf2(p["b"], p["c"], p["a"]), p["s"], p["t"])
+    return G6Descriptor(**p)

@@ -149,12 +149,17 @@ def hnf3_of(generators: Iterable[Sequence[int]]) -> Hnf3:
 
 
 def transform2(h: Hnf2, signs: tuple[int, int]) -> Hnf2:
-    """Image of the lattice under (u, v) -> (s0*u, s1*v)."""
-    return hnf2_of([(signs[0] * u, signs[1] * v) for u, v in h.columns()])
+    """Image of the lattice under (u, v) -> (s0*u, s1*v).
+
+    Negating each flipped column back to a positive diagonal leaves only
+    c -> s0*s1*c to reduce; transform3 does the same with d, e, f.
+    """
+    return Hnf2(h.b, signs[0] * signs[1] * h.c % h.b, h.a)
 
 
 def transform3(h: Hnf3, signs: tuple[int, int, int]) -> Hnf3:
     """Image of the lattice under componentwise sign flips."""
-    return hnf3_of(
-        [(signs[0] * u, signs[1] * v, signs[2] * w) for u, v, w in h.columns()]
-    )
+    s0, s1, s2 = signs
+    q, d = divmod(s1 * s2 * h.d, h.b)  # third column minus q times the second
+    e, f = s0 * s1 * h.e % h.c, s0 * (s2 * h.f - q * s1 * h.e) % h.c
+    return Hnf3(h.c, e, f, h.b, d, h.a)

@@ -33,6 +33,7 @@ from hwcover.catalog import (
     z3_normal_closed_form,
     z3_orbit_split,
 )
+from hwcover.cli import descriptor_from_csv_row
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTERS, Element, translation
 from hwcover.lattice import Hnf2, Hnf3
 
@@ -215,6 +216,19 @@ def test_g2_conjugation_by_y_formula():
         assert (image.s, image.t) == flipped.reduce_coset(d.s - 1, -d.t - 1)
 
 
+def test_conjugation_witnessed_by_group_arithmetic():
+    # the image has index n and contains the conjugated generators, so it is
+    # the conjugate subgroup; the parameter maps never see Element arithmetic
+    squares = (translation(1, 0, 0), translation(0, 1, 0), translation(0, 0, 1))
+    for n in range(1, 33):
+        for d in enumerate_index(n):
+            for v in (GEN_X, GEN_Y, GEN_Z, *squares):
+                img = conjugate_descriptor(d, v)
+                assert index_of(img) == n, (d, v, img)
+                for h in generators(d):
+                    assert contains(img, h.conjugated_by(v)), (d, v, img, h)
+
+
 def test_conjugation_preserves_membership():
     rng = random.Random(19)
     pool = [d for n in (6, 8, 9) for d in enumerate_index(n)]
@@ -379,6 +393,18 @@ def test_descriptor_json_round_trip():
     pool = [d for n in (4, 6, 9, 12, 16) for d in enumerate_index(n)]
     for d in rng.sample(pool, 100):
         assert from_json_dict(to_json_dict(d)) == d
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"type": "g6", "k": 2, "l": 1, "m": 1, "u": 0, "v": 0, "w": 9}, "'k'"),
+    ({"type": "z3", "c": 2, "e": 7, "f": 0, "b": 1, "d": 0, "a": 1}, "'e'"),
+    ({"type": "g2", "axis": "q", "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0}, "'axis'"),
+])
+def test_descriptor_outside_canonical_ranges_rejected(obj, field):
+    with pytest.raises(ValueError, match=field):
+        from_json_dict(obj)
+    with pytest.raises(ValueError, match=field):
+        descriptor_from_csv_row({key: str(val) for key, val in obj.items()})
 
 
 def test_sieved_count_arrays_match_the_per_n_formulas():

@@ -1,5 +1,6 @@
 """HNF sublattice enumeration: uniqueness, counts, membership."""
 
+import itertools
 import random
 
 from hwcover.arith import sigma1, omega
@@ -88,6 +89,20 @@ def test_canonicalization_is_basis_independent():
             q = rng.randint(-3, 3)
             cols[a] = [u + q * v for u, v in zip(cols[a], cols[b])]
         assert hnf2_of(cols) == h
+
+
+def test_transforms_match_hnf_of_flipped_columns():
+    # reference: flip the basis columns and renormalize with the generic HNF
+    for n in range(1, 41):
+        for h in hnf2_all(n):
+            for signs in itertools.product((1, -1), repeat=2):
+                flipped = [(signs[0] * u, signs[1] * v) for u, v in h.columns()]
+                assert transform2(h, signs) == hnf2_of(flipped), (h, signs)
+    for n in range(1, 25):
+        for h in hnf3_all(n):
+            for signs in itertools.product((1, -1), repeat=3):
+                flipped = [tuple(s * u for s, u in zip(signs, col)) for col in h.columns()]
+                assert transform3(h, signs) == hnf3_of(flipped), (h, signs)
 
 
 def test_transforms_are_involutions():
