@@ -9,11 +9,16 @@ A Dirichlet series sum f(n) n^-s is represented by its first N coefficients
 convolution of the coefficient vectors.  Powers of 2^-s act by the dyadic
 coefficient shift n -> n/2 (:func:`apply_poly`), which is how the product
 forms in :data:`GF_TABLE` are evaluated.
+
+A closed form is a tuple of terms (coefficient, k, base), meaning
+coefficient * base(n / 2^k); a base is a product of zeta(s - j) named by its
+shifts j.  :func:`form_value` evaluates one n, :func:`form_values` all n <= N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 Rational = int | Fraction
@@ -83,18 +88,27 @@ def omega(n: Rational) -> int:
     return sum(d * sigma1(d) for d in divisors(m))
 
 
-def d3_alternating(n: Rational) -> int:
-    """d3(n) - 3 d3(n/2) + 3 d3(n/4) - d3(n/8).
+# Bases of the closed forms, by their zeta shifts, and their values at one n.
+DELTA, ONE, SIGMA0, D3, SIGMA2 = (), (0,), (0, 0), (0, 0, 0), (0, 0, 1)
+OMEGA, N_D3 = (0, 1, 2), (1, 1, 1)
+BASES = {DELTA: lambda n: int(n == 1), ONE: lambda n: int(_as_positive_int(n) is not None),
+         SIGMA0: sigma0, D3: d3, SIGMA2: sigma2, OMEGA: omega, N_D3: lambda n: n * d3(n)}
 
-    Counts the ordered factorizations n = a*b*c with all three factors odd,
-    so it equals d3(n) for odd n and 0 for even n.
-    """
-    m = _as_positive_int(n)
-    if m is None:
-        return 0
-    return (
-        d3(m) - 3 * d3(Fraction(m, 2)) + 3 * d3(Fraction(m, 4)) - d3(Fraction(m, 8))
-    )
+# d3(n) - 3 d3(n/2) + 3 d3(n/4) - d3(n/8), the Dirichlet series (1 - 2^-s)^3 zeta^3(s).
+D3_ALTERNATING = ((1, 0, D3), (-3, 1, D3), (3, 2, D3), (-1, 3, D3))
+
+
+def form_value(form: Sequence[tuple], n: Rational) -> int:
+    """The closed form at n through the divisor sums; a fractional total raises."""
+    val = Fraction(sum(c * BASES[base](Fraction(n, 1 << k)) for c, k, base in form))
+    if val.denominator != 1:
+        raise ArithmeticError(f"closed form is fractional at n={n}: {val}")
+    return val.numerator
+
+
+def d3_alternating(n: Rational) -> int:
+    """Ordered factorizations n = a*b*c into odd factors: d3(n) for odd n, else 0."""
+    return form_value(D3_ALTERNATING, n)
 
 
 def odd_factorization_identity_holds(n: int) -> bool:
@@ -155,6 +169,29 @@ def zeta_product(shifts: Sequence[int], N: int) -> CoeffSeries:
     out = delta_series(N)
     for sh in shifts:
         out = convolve(out, zeta_coeffs(sh, N))
+    return out
+
+
+def form_values(forms: dict, N: int) -> dict[object, list[int]]:
+    """Each closed form at n = 1..N, keyed as in ``forms``.
+
+    One zeta_product series per base serves every form; each form is summed
+    in integers over its common denominator, which must divide every total.
+    """
+    series: dict[tuple, tuple] = {}
+    out = {}
+    for key, form in forms.items():
+        den = lcm(*(Fraction(c).denominator for c, _, _ in form))
+        acc = [0] * (N + 1)
+        for c, k, base in form:
+            if base not in series:
+                series[base] = zeta_product(base, N).coeffs
+            step, weight = 1 << k, int(c * den)
+            acc[step::step] = [a + weight * f for a, f in zip(acc[step::step], series[base])]
+        bad = next((n for n in range(1, N + 1) if acc[n] % den), None)
+        if bad is not None:
+            raise ArithmeticError(f"closed form {key} is fractional at n={bad}")
+        out[key] = [v // den for v in acc[1:]]
     return out
 
 

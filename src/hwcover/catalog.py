@@ -23,10 +23,11 @@ the parameters; these formulas are the implementation.  The group arithmetic
 is their independent witness in the test suite, which conjugates generators
 and checks that they land in the computed image of the same index.
 
-Counting functions named ``count_s`` (subgroups) and ``count_c`` (conjugacy
-classes = equivalence classes of coverings) return the closed-form values;
-the enumeration and classing machinery reproduces them constructively, and
-the test suite compares both against a brute-force coset-table search.
+Every closed form is one row of :data:`FORMS`.  ``count_s`` (subgroups) and
+``count_c`` (conjugacy classes = equivalence classes of coverings) read one n
+of a row, ``count_arrays`` every n <= N; the enumeration and classing
+machinery reproduces them constructively, and the test suite compares both
+against a brute-force coset-table search.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import arith
-from .arith import d3, d3_alternating, divisors, omega, sigma0, sigma2
+from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
+                    form_value)
 from .group import E, GEN_X, GEN_Y, GEN_Z, SIGNS, Element
 from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, hnf3_all, transform2, transform3
 
@@ -100,43 +102,60 @@ def sort_key(d: Descriptor) -> tuple:
 # Closed-form counts
 # ---------------------------------------------------------------------------
 
+def _scaled(c: Fraction, form: tuple, k: int = 0) -> tuple:
+    """c times the form evaluated at n / 2^k."""
+    return tuple((c * a, j + k, base) for a, j, base in form)
+
+
+def _times_n(form: tuple) -> tuple:
+    """n times the form: n f(n/2^k) = 2^k (m f(m)) at m = n/2^k, shifting each zeta by 1."""
+    return tuple((a * 2 ** k, k, tuple(j + 1 for j in base)) for a, k, base in form)
+
+
+# The closed forms, as terms (coefficient, k, base) of arith.form_value.  The
+# (type, kind) rows are the counts: kind "s" subgroups, kind "c" classes.
+FORMS: dict[object, tuple] = {
+    ("g1", "s"): ((1, 2, OMEGA),),
+    ("g2", "s"): ((3, 1, OMEGA), (-3, 2, OMEGA)),
+    ("g6", "s"): _times_n(D3_ALTERNATING),
+    ("g6", "c"): D3_ALTERNATING,
+    # Index-n sublattices of Z^2 / Z^3 fixed by one coordinate sign flip.
+    "flip_fixed_2d": ((1, 0, SIGMA0), (1, 1, SIGMA0)),
+    "flip_fixed_3d": ((1, 0, SIGMA2), (3, 1, SIGMA2)),
+    # Normal subgroups per type (see z3_normal_closed_form for the erratum):
+    # g2 has 3 at n = 2 mod 4 and 6 at n = 4 mod 8, g6 only the whole group.
+    "z3_normal": ((1, 2, D3), (4, 3, D3), (1, 4, D3)),
+    "g2_normal": ((3, 1, ONE), (3, 2, ONE), (-6, 3, ONE)),
+    "g6_normal": ((1, 0, DELTA),),
+    # Axis-x partial classes of G2-type subgroups: fixed by conjugation by y, and all.
+    "g2_partial_fixed": ((1, 1, D3), (-1, 2, D3), (-3, 3, D3), (5, 4, D3), (-2, 5, D3)),
+    "g2_partial_total": ((1, 1, SIGMA2), (2, 2, SIGMA2), (-3, 3, SIGMA2)),
+}
+# Z^3-type subgroups fixed by one generator: index-n/4 lattices fixed by a sign flip.
+FORMS["z3_axis_fixed"] = _scaled(1, FORMS["flip_fixed_3d"], 2)
+# Burnside over the Klein four-group {1, x, y, z}: (all + 3 * fixed by one) / 4.
+FORMS["g1", "c"] = (_scaled(Fraction(1, 4), FORMS["g1", "s"])
+                    + _scaled(Fraction(3, 4), FORMS["z3_axis_fixed"]))
+# Three axes, each with fixed + swapped / 2 = (total + fixed) / 2 classes.
+FORMS["g2", "c"] = _scaled(Fraction(3, 2), FORMS["g2_partial_total"] + FORMS["g2_partial_fixed"])
+
+_COUNT_KEYS = tuple((iso, kind) for kind in ("s", "c") for iso in ISO_TYPES)
+
+
+def _count_form(iso: str, kind: str) -> tuple:
+    if iso not in ISO_TYPES:
+        raise ValueError(f"unknown isomorphism type {iso!r}")
+    return FORMS[iso, kind]
+
+
 def count_s(iso: str, n: int) -> int:
     """Number of index-n subgroups of the given isomorphism type."""
-    if iso == "g1":
-        return omega(Fraction(n, 4))
-    if iso == "g2":
-        return 3 * omega(Fraction(n, 2)) - 3 * omega(Fraction(n, 4))
-    if iso == "g6":
-        return n * d3_alternating(n)
-    raise ValueError(f"unknown isomorphism type {iso!r}")
+    return form_value(_count_form(iso, "s"), n)
 
 
 def count_c(iso: str, n: int) -> int:
     """Number of conjugacy classes of index-n subgroups (= coverings)."""
-    if iso == "g1":
-        val = (
-            Fraction(1, 4) * omega(Fraction(n, 4))
-            + Fraction(3, 4) * sigma2(Fraction(n, 4))
-            + Fraction(9, 4) * sigma2(Fraction(n, 8))
-        )
-    elif iso == "g2":
-        val = Fraction(3, 2) * (
-            sigma2(Fraction(n, 2))
-            + 2 * sigma2(Fraction(n, 4))
-            - 3 * sigma2(Fraction(n, 8))
-            + d3(Fraction(n, 2))
-            - d3(Fraction(n, 4))
-            - 3 * d3(Fraction(n, 8))
-            + 5 * d3(Fraction(n, 16))
-            - 2 * d3(Fraction(n, 32))
-        )
-    elif iso == "g6":
-        return d3_alternating(n)
-    else:
-        raise ValueError(f"unknown isomorphism type {iso!r}")
-    if val.denominator != 1:
-        raise ArithmeticError(f"class count for {iso} at n={n} is fractional: {val}")
-    return int(val)
+    return form_value(_count_form(iso, "c"), n)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +486,7 @@ class PartialClassSplit(NamedTuple):
 
 
 def z3_normal_closed_form(n: int) -> int:
-    """Normal Z^3-type subgroups of index n: d3(n/4) + 4 d3(n/8) + d3(n/16).
+    """Normal Z^3-type subgroups of index n: the ``z3_normal`` row of FORMS.
 
     Erratum note: the published closed form carries an extra 2 d3(n/32)
     term coming from two matrix families that are not in fact normal (their
@@ -478,9 +497,7 @@ def z3_normal_closed_form(n: int) -> int:
     index; the first divergence of the published form is n = 32 (39 vs the
     actual 37).  See the test suite for the recorded comparison.
     """
-    return (
-        d3(Fraction(n, 4)) + 4 * d3(Fraction(n, 8)) + d3(Fraction(n, 16))
-    )
+    return form_value(FORMS["z3_normal"], n)
 
 
 def z3_orbit_split(n: int) -> Z3OrbitSplit:
@@ -493,9 +510,8 @@ def z3_orbit_split(n: int) -> Z3OrbitSplit:
     split = Z3OrbitSplit(sizes[1], sizes[2], sizes[4])
 
     m1 = z3_normal_closed_form(n)
-    per_axis_fixed = sigma2(Fraction(n, 4)) + 3 * sigma2(Fraction(n, 8))
-    m2 = 3 * per_axis_fixed - 3 * m1
-    m4 = omega(Fraction(n, 4)) - m1 - m2
+    m2 = 3 * form_value(FORMS["z3_axis_fixed"], n) - 3 * m1
+    m4 = count_s("g1", n) - m1 - m2
     if split != (m1, m2, m4):
         raise CrossCheckError(
             f"orbit split mismatch at n={n}: counted {split}, formulas {(m1, m2, m4)}"
@@ -506,16 +522,8 @@ def z3_orbit_split(n: int) -> Z3OrbitSplit:
 def g2_partial_split(n: int) -> PartialClassSplit:
     """Axis-x partial-class split, computed two ways and cross-checked."""
     fixed, swapped = _g2_axis_partial_split(n)
-    k1 = (
-        d3(Fraction(n, 2))
-        - d3(Fraction(n, 4))
-        - 3 * d3(Fraction(n, 8))
-        + 5 * d3(Fraction(n, 16))
-        - 2 * d3(Fraction(n, 32))
-    )
-    total = (
-        sigma2(Fraction(n, 2)) + 2 * sigma2(Fraction(n, 4)) - 3 * sigma2(Fraction(n, 8))
-    )
+    k1 = form_value(FORMS["g2_partial_fixed"], n)
+    total = form_value(FORMS["g2_partial_total"], n)
     if (fixed, swapped) != (k1, total - k1):
         raise CrossCheckError(
             f"partial split mismatch at n={n}: counted {(fixed, swapped)}, "
@@ -527,7 +535,7 @@ def g2_partial_split(n: int) -> PartialClassSplit:
 def flip_fixed_count_2d(n: int) -> int:
     """Index-n sublattices of Z^2 fixed by (u, v) -> (u, -v), dual-route."""
     counted = sum(1 for h in hnf2_all(n) if transform2(h, (1, -1)) == h)
-    formula = sigma0(n) + sigma0(Fraction(n, 2))
+    formula = form_value(FORMS["flip_fixed_2d"], n)
     if counted != formula:
         raise CrossCheckError(f"2d flip count mismatch at n={n}: {counted} vs {formula}")
     return counted
@@ -536,7 +544,7 @@ def flip_fixed_count_2d(n: int) -> int:
 def flip_fixed_count_3d(n: int) -> int:
     """Index-n sublattices of Z^3 fixed by (u, v, w) -> (u, v, -w), dual-route."""
     counted = sum(1 for h in hnf3_all(n) if transform3(h, (1, 1, -1)) == h)
-    formula = sigma2(n) + 3 * sigma2(Fraction(n, 2))
+    formula = form_value(FORMS["flip_fixed_3d"], n)
     if counted != formula:
         raise CrossCheckError(f"3d flip count mismatch at n={n}: {counted} vs {formula}")
     return counted
@@ -545,28 +553,17 @@ def flip_fixed_count_3d(n: int) -> int:
 def normal_counts(n: int) -> tuple[int, int, int]:
     """Normal index-n subgroups per type (z3, g2, g6), dual-route.
 
-    Closed forms: the z3 count is z3_normal_closed_form (see its erratum
-    note); the g2 count is 3 when n = 2 mod 4, 6 when n = 4 mod 8, else 0;
-    the only normal g6-type subgroup is the whole group.  Each value is
-    re-derived by filtering the enumeration through is_normal.
+    Closed forms: the z3_normal, g2_normal and g6_normal rows of FORMS.  Each
+    value is re-derived by filtering the enumeration through is_normal.
     """
-    z3_formula = z3_normal_closed_form(n)
-    if n % 4 == 2:
-        g2_formula = 3
-    elif n % 8 == 4:
-        g2_formula = 6
-    else:
-        g2_formula = 0
-    g6_formula = 1 if n == 1 else 0
-
+    formulas = tuple(form_value(FORMS[key], n) for key in ("z3_normal", "g2_normal", "g6_normal"))
     z3_counted = sum(1 for d in enumerate_z3(n) if is_normal(d))
     g2_counted = sum(1 for d in enumerate_g2(n) if is_normal(d))
     g6_counted = sum(1 for d in enumerate_g6(n) if is_normal(d))
     counted = (z3_counted, g2_counted, g6_counted)
-    if counted != (z3_formula, g2_formula, g6_formula):
+    if counted != formulas:
         raise CrossCheckError(
-            f"normal count mismatch at n={n}: counted {counted}, "
-            f"formulas {(z3_formula, g2_formula, g6_formula)}"
+            f"normal count mismatch at n={n}: counted {counted}, formulas {formulas}"
         )
     return counted
 
@@ -576,45 +573,12 @@ def normal_counts(n: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 def count_arrays(N: int) -> dict[tuple[str, str], list[int]]:
-    """Closed-form count values for all n <= N via sieved divisor lists.
+    """Closed-form counts for all n <= N: the six (type, kind) rows of FORMS.
 
-    Same formulas as count_s / count_c, evaluated with precomputed divisor
-    tables so series-length audits stay fast.
+    arith.form_values reads them from one zeta-product series per base; the
+    test suite checks it against the divisor sums of count_s / count_c.
     """
-    divs: list[list[int]] = [[] for _ in range(N + 1)]
-    for d in range(1, N + 1):
-        for mult in range(d, N + 1, d):
-            divs[mult].append(d)
-    sig1 = [0] + [sum(divs[n]) for n in range(1, N + 1)]
-    sig0_ = [0] + [len(divs[n]) for n in range(1, N + 1)]
-    sig2_ = [0] + [sum(sig1[d] for d in divs[n]) for n in range(1, N + 1)]
-    dd3 = [0] + [sum(sig0_[d] for d in divs[n]) for n in range(1, N + 1)]
-    om = [0] + [sum(d * sig1[d] for d in divs[n]) for n in range(1, N + 1)]
-
-    def dy(arr: list[int], n: int, k: int) -> int:
-        step = 1 << k
-        return arr[n // step] if n % step == 0 else 0
-
-    out: dict[tuple[str, str], list[int]] = {key: [] for key in arith.GF_TABLE}
-    for n in range(1, N + 1):
-        alt = dd3[n] - 3 * dy(dd3, n, 1) + 3 * dy(dd3, n, 2) - dy(dd3, n, 3)
-        out["g1", "s"].append(dy(om, n, 2))
-        out["g2", "s"].append(3 * dy(om, n, 1) - 3 * dy(om, n, 2))
-        out["g6", "s"].append(n * alt)
-        c1 = Fraction(dy(om, n, 2), 4) + Fraction(3 * dy(sig2_, n, 2), 4) + Fraction(
-            9 * dy(sig2_, n, 3), 4
-        )
-        c2 = Fraction(3, 2) * (
-            dy(sig2_, n, 1) + 2 * dy(sig2_, n, 2) - 3 * dy(sig2_, n, 3)
-            + dy(dd3, n, 1) - dy(dd3, n, 2) - 3 * dy(dd3, n, 3)
-            + 5 * dy(dd3, n, 4) - 2 * dy(dd3, n, 5)
-        )
-        for key, val in ((("g1", "c"), c1), (("g2", "c"), c2)):
-            if val.denominator != 1:
-                raise ArithmeticError(f"fractional class count for {key} at n={n}")
-            out[key].append(int(val))
-        out["g6", "c"].append(alt)
-    return out
+    return arith.form_values({key: FORMS[key] for key in _COUNT_KEYS}, N)
 
 
 def _first_divergence(a: list[int], b: list[int]) -> int | None:
@@ -624,7 +588,12 @@ def _first_divergence(a: list[int], b: list[int]) -> int | None:
     return None
 
 
-def series_report(N: int) -> dict:
+def series_tables(N: int) -> tuple[dict, dict]:
+    """Closed-form counts and tabulated coefficients for n <= N, by (type, kind)."""
+    return count_arrays(N), {key: arith.gf_coeffs(*key, N).coeffs for key in _COUNT_KEYS}
+
+
+def series_report(N: int, tables: tuple[dict, dict] | None = None) -> dict:
     """Audit the tabulated generating functions against the count formulas.
 
     For each of the six (type, kind) rows: the tabulated coefficients, the
@@ -632,11 +601,11 @@ def series_report(N: int) -> dict:
     n).  The report also settles the two known anomalies: the (g2, s) row
     scaled by 3, and the row tabulated under a g1 label whose shape
     (1 - 2^(1-s))^3 zeta^3(s-1) actually generates the g6 subgroup counts.
+    ``tables`` is series_tables(N), computed here when not given.
     """
-    formulas = count_arrays(N)
-    gf = {key: list(arith.gf_coeffs(*key, N).coeffs) for key in arith.GF_TABLE}
+    formulas, gf = tables or series_tables(N)
     rows = []
-    for key in (("g1", "s"), ("g2", "s"), ("g6", "s"), ("g1", "c"), ("g2", "c"), ("g6", "c")):
+    for key in _COUNT_KEYS:
         div = _first_divergence(gf[key], formulas[key])
         row = {
             "type": key[0],
@@ -686,14 +655,23 @@ _FIELD_RANGES = {
 }
 
 
+def _int_field(obj: dict, tag: str, field: str) -> int:
+    """An integer field: a JSON int (not a bool) or the text of a CSV cell."""
+    val = obj.get(field)
+    if type(val) is int or isinstance(val, str) and val.removeprefix("-").isdecimal():
+        return int(val)
+    raise ValueError(f"{tag} descriptor field {field!r} = {val!r} must be an integer"
+                     if field in obj else f"{tag} descriptor field {field!r} is missing")
+
+
 def from_json_dict(obj: dict) -> Descriptor:
-    """Parse a descriptor, raising ValueError for a field outside its range."""
-    tag = obj["type"]
+    """Parse a descriptor; a ValueError names a missing, non-integer or bad field."""
+    tag = obj.get("type")
     if tag not in _FIELD_RANGES:
-        raise ValueError(f"unknown descriptor type {tag!r}")
+        raise ValueError(f"descriptor field 'type' = {tag!r} must be z3, g2 or g6")
     p: dict[str, int] = {}
     for field, rule in _FIELD_RANGES[tag]:
-        val = p[field] = int(obj[field])
+        val = p[field] = _int_field(obj, tag, field)
         if rule in p:
             ok, need = 0 <= val < p[rule], f"in [0, {rule}) = [0, {p[rule]})"
         else:
@@ -704,7 +682,7 @@ def from_json_dict(obj: dict) -> Descriptor:
     if tag == "z3":
         return Z3Descriptor(Hnf3(**p))
     if tag == "g2":
-        if obj["axis"] not in AXES:
-            raise ValueError(f"g2 descriptor field 'axis' = {obj['axis']!r} must be x, y or z")
+        if obj.get("axis") not in AXES:
+            raise ValueError(f"g2 descriptor field 'axis' = {obj.get('axis')!r} must be x, y or z")
         return G2Descriptor(obj["axis"], p["k"], Hnf2(p["b"], p["c"], p["a"]), p["s"], p["t"])
     return G6Descriptor(**p)

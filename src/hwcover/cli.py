@@ -38,10 +38,17 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict(obj)
 
 
-def _write_csv(header: Sequence[str], rows, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _table_text(fmt: str, header: Sequence[str], rows) -> str:
+    """Rows under a header as CSV, or as a JSON list of objects keyed by it."""
+    if fmt == "json":
+        return _json_text([dict(zip(header, row)) for row in rows])
+    return _csv_text(header, rows)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -59,25 +66,19 @@ def _emit(text: str, path: str | None) -> None:
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
+    arrays = catalog.count_arrays(args.max)
     rows = []
     for n in range(1, args.max + 1):
-        s = [catalog.count_s(iso, n) for iso in catalog.ISO_TYPES]
-        c = [catalog.count_c(iso, n) for iso in catalog.ISO_TYPES]
+        s = [arrays[iso, "s"][n - 1] for iso in catalog.ISO_TYPES]
+        c = [arrays[iso, "c"][n - 1] for iso in catalog.ISO_TYPES]
         rows.append([n, *s, sum(s), *c, sum(c)])
-    if args.format == "json":
-        cols = ["n", "s_g1", "s_g2", "s_g6", "s_total", "c_g1", "c_g2", "c_g6", "c_total"]
-        _emit(_json_text([dict(zip(cols, row)) for row in rows]), args.out)
-    else:
-        buf = io.StringIO()
-        _write_csv(["n", "s_g1", "s_g2", "s_g6", "s_total",
-                    "c_g1", "c_g2", "c_g6", "c_total"], rows, buf)
-        _emit(buf.getvalue(), args.out)
+    header = ["n", "s_g1", "s_g2", "s_g6", "s_total", "c_g1", "c_g2", "c_g6", "c_total"]
+    _emit(_table_text(args.format, header, rows), args.out)
     return 0
 
 
@@ -127,9 +128,7 @@ def _cmd_classes(args) -> int:
              json.dumps(catalog.to_json_dict(cls[0]), sort_keys=True)]
             for cls in classes
         ]
-        buf = io.StringIO()
-        _write_csv(["n", "type", "size", "representative"], rows, buf)
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv_text(["n", "type", "size", "representative"], rows), args.out)
     return 0
 
 
@@ -140,44 +139,32 @@ def _cmd_normal(args) -> int:
         for iso in catalog.ISO_TYPES:
             rows.append([n, iso, catalog.count_s(iso, n), catalog.count_c(iso, n),
                          normals[iso]])
-    if args.format == "json":
-        cols = ["n", "type", "s", "c", "normal"]
-        _emit(_json_text([dict(zip(cols, row)) for row in rows]), args.out)
-    else:
-        buf = io.StringIO()
-        _write_csv(["n", "type", "s", "c", "normal"], rows, buf)
-        _emit(buf.getvalue(), args.out)
+    _emit(_table_text(args.format, ["n", "type", "s", "c", "normal"], rows), args.out)
     return 0
 
 
 def _cmd_series(args) -> int:
-    report = catalog.series_report(args.max)
+    tables = catalog.series_tables(args.max)
+    report = catalog.series_report(args.max, tables)
     if args.out is not None:
         # full coefficient tables alongside the verdicts
-        from . import arith
-        formulas = catalog.count_arrays(args.max)
-        rows = []
-        for key in sorted(arith.GF_TABLE):
-            table_vals = arith.gf_coeffs(*key, args.max).coeffs
-            for n in range(1, args.max + 1):
-                rows.append([key[0], key[1], n, table_vals[n - 1], formulas[key][n - 1]])
-        buf = io.StringIO()
-        _write_csv(["type", "kind", "n", "table_value", "formula_value"], rows, buf)
-        _emit(buf.getvalue(), args.out)
+        formulas, table_vals = tables
+        rows = [[*key, n, table_vals[key][n - 1], formulas[key][n - 1]]
+                for key in sorted(table_vals) for n in range(1, args.max + 1)]
+        _emit(_csv_text(["type", "kind", "n", "table_value", "formula_value"], rows), args.out)
     if args.format == "json":
         sys.stdout.write(_json_text(report))
     else:
-        buf = io.StringIO()
         rows = [
             [r["type"], r["kind"], r["verdict"], r["first_divergent_n"] or "",
              r.get("note", "")]
             for r in report["rows"]
         ]
         row3 = report["row3_label"]
-        _write_csv(["type", "kind", "verdict", "first_divergent_n", "note"], rows, buf)
-        buf.write(f"# row 3 label audit: tabulated as {row3['tabulated_label']}; "
-                  f"vs g1 s: {row3['vs_g1_s']}; vs g6 s: {row3['vs_g6_s']}\n")
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(
+            _csv_text(["type", "kind", "verdict", "first_divergent_n", "note"], rows)
+            + f"# row 3 label audit: tabulated as {row3['tabulated_label']}; "
+            f"vs g1 s: {row3['vs_g1_s']}; vs g6 s: {row3['vs_g6_s']}\n")
     return 0
 
 
@@ -188,15 +175,11 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit(_json_text([r.to_json_dict() for r in reports]), args.out)
     else:
-        buf = io.StringIO()
-        rows = []
-        for r in reports:
-            rows.extend(oracle.csv_rows(r))
-        _write_csv(oracle.CSV_HEADER.split(","), rows, buf)
-        _emit(buf.getvalue(), args.out)
+        rows = [row for r in reports for row in oracle.csv_rows(r)]
+        _emit(_csv_text(oracle.CSV_HEADER.split(","), rows), args.out)
     if not ok:
         bad = [
-            f"n={row.n} type={row.iso}"
+            f"n={row.n} type={row.iso}" + (f" ({row.failure})" if row.failure else "")
             for r in reports for row in r.rows if not row.match
         ] + [
             f"n={r.n} tables_bijective=false"

@@ -385,7 +385,9 @@ class CountRow:
     """One (index, type) cell of the verification report.
 
     Oracle columns are None beyond the oracle limit; match requires every
-    present column to agree.
+    present column to agree.  A catalog column is None when its computation
+    raised; ``failure`` then holds "type: message" of the exception.  The
+    report writers do not emit it.
     """
 
     n: int
@@ -396,6 +398,7 @@ class CountRow:
     c_closed: int
     c_catalog: int | None
     c_oracle: int | None
+    failure: str | None = None
 
     @property
     def match(self) -> bool:
@@ -452,7 +455,8 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     """Compare closed forms, catalog enumeration, and the oracle at index n.
 
     Disagreements are reported, never raised: a failing catalog or oracle
-    computation shows up as a None column or a false flag.
+    computation shows up as a None column (with the exception kept as the
+    row's failure) or a false flag.
     """
     use_oracle = 1 <= n <= oracle_limit
     oracle_s: dict[str, int] = {}
@@ -475,15 +479,18 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     catalog_keys: dict[tuple, int] = {}
     catalog_ok = use_oracle
     for iso in catalog.ISO_TYPES:
+        failures = []
         try:
             ds = catalog.enumerate_iso(iso, n)
             s_cat: int | None = len(ds)
-        except Exception:
+        except Exception as exc:
             ds, s_cat = [], None
+            failures.append(f"{type(exc).__name__}: {exc}")
         try:
             c_cat: int | None = catalog.class_count(iso, n)
-        except Exception:
+        except Exception as exc:
             c_cat = None
+            failures.append(f"{type(exc).__name__}: {exc}")
         if use_oracle and s_cat is not None:
             for d in ds:
                 try:
@@ -501,6 +508,7 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
             s_oracle=oracle_s.get(iso) if use_oracle else None,
             c_closed=catalog.count_c(iso, n), c_catalog=c_cat,
             c_oracle=oracle_c.get(iso) if use_oracle else None,
+            failure="; ".join(failures) or None,
         ))
     if use_oracle:
         bijective = catalog_ok and catalog_keys == oracle_keys

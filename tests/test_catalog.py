@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hwcover import catalog
+from hwcover import arith, catalog
 from hwcover.arith import d3, omega, sigma0, sigma2
 from hwcover.catalog import (
     G2Descriptor,
@@ -399,6 +399,12 @@ def test_descriptor_json_round_trip():
     ({"type": "g6", "k": 2, "l": 1, "m": 1, "u": 0, "v": 0, "w": 9}, "'k'"),
     ({"type": "z3", "c": 2, "e": 7, "f": 0, "b": 1, "d": 0, "a": 1}, "'e'"),
     ({"type": "g2", "axis": "q", "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0}, "'axis'"),
+    ({"type": "g6", "k": 3, "l": 1, "m": 1, "u": 0, "v": 0, "w": 2.9}, "'w'"),
+    ({"type": "g6", "k": 3.7, "l": 1, "m": 1, "u": 0, "v": 0, "w": 0}, "'k'"),
+    ({"type": "g6", "k": 1, "l": True, "m": 1, "u": 0, "v": 0, "w": 0}, "'l'"),
+    ({"type": "g6", "k": 1, "l": 1, "m": 1, "u": 0, "v": 0}, "'w'"),
+    ({"k": 1, "l": 1, "m": 1, "u": 0, "v": 0, "w": 0}, "'type'"),
+    ({"type": "g2", "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0}, "'axis'"),
 ])
 def test_descriptor_outside_canonical_ranges_rejected(obj, field):
     with pytest.raises(ValueError, match=field):
@@ -408,11 +414,20 @@ def test_descriptor_outside_canonical_ranges_rejected(obj, field):
 
 
 def test_sieved_count_arrays_match_the_per_n_formulas():
-    arrays = catalog.count_arrays(96)
-    for n in range(1, 97):
+    # the range evaluator (convolution) against the one-n evaluator (divisor sums)
+    arrays = catalog.count_arrays(1024)
+    for n in range(1, 1025):
         for iso in ISO:
             assert arrays[iso, "s"][n - 1] == count_s(iso, n), (iso, n)
             assert arrays[iso, "c"][n - 1] == count_c(iso, n), (iso, n)
+
+
+def test_fractional_form_value_raises_on_both_evaluators(monkeypatch):
+    monkeypatch.setitem(catalog.FORMS, ("g6", "c"), ((Fraction(1, 2), 0, arith.D3),))
+    with pytest.raises(ArithmeticError, match="n=1"):
+        count_c("g6", 1)
+    with pytest.raises(ArithmeticError, match="n=1"):
+        catalog.count_arrays(8)
 
 
 def test_series_report_verdicts():

@@ -131,6 +131,17 @@ def test_verify_detects_fault_injection(capsys, monkeypatch):
     assert "MISMATCH" in err
 
 
+def test_verify_mismatch_names_the_exception(capsys, monkeypatch):
+    def class_count(iso, n):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(catalog, "class_count", class_count)
+    code, out, err = run_cli(capsys, "verify", "--max", "2", "--oracle-limit", "0")
+    assert code == 1
+    assert "MISMATCH at n=1 type=g1 (RuntimeError: boom)" in err
+    assert "boom" not in out
+    assert all(r["c_catalog"] == "" for r in csv.DictReader(io.StringIO(out)))
+
+
 def test_exit_code_2_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing --index
