@@ -12,10 +12,10 @@ from hwcover import arith, catalog
 print("== Dirichlet convolution reproduces the divisor sums ==")
 N = 12
 zeta = arith.zeta_coeffs(0, N)
-print("  zeta^2 coefficients: ", arith.convolve(zeta, zeta).to_json())
+print("  zeta^2 coefficients: ", arith.convolve(zeta, zeta))
 print("  sigma0(1..12):       ", [arith.sigma0(n) for n in range(1, N + 1)])
 omega_series = arith.zeta_product((0, 1, 2), N)
-print("  zeta(s)zeta(s-1)zeta(s-2):", omega_series.to_json())
+print("  zeta(s)zeta(s-1)zeta(s-2):", omega_series)
 print("  omega(1..12):             ", [arith.omega(n) for n in range(1, N + 1)])
 
 print("\n== tabulated product forms vs the counting formulas ==")

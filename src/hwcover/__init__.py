@@ -6,8 +6,6 @@ coset-table oracle cross-checking every number.
 """
 
 from .arith import (
-    CoeffSeries,
-    apply_poly,
     convolve,
     d3,
     d3_alternating,

@@ -4,22 +4,23 @@ All five counting functions follow the vanishing convention: the value is 0
 whenever the argument is not a positive integer, so expressions like
 ``omega(Fraction(n, 4))`` can be written without case splits.
 
-A Dirichlet series sum f(n) n^-s is represented by its first N coefficients
-(:class:`CoeffSeries`); multiplying series corresponds to Dirichlet
-convolution of the coefficient vectors.  Powers of 2^-s act by the dyadic
-coefficient shift n -> n/2 (:func:`apply_poly`), which is how the product
-forms in :data:`GF_TABLE` are evaluated.
+A Dirichlet series sum f(n) n^-s is represented by its first N coefficients,
+a plain list indexed n - 1; multiplying series corresponds to Dirichlet
+convolution of the coefficient lists, and a power 2^-ks shifts coefficient n
+to 2^k n.
 
 A closed form is a tuple of terms (coefficient, k, base), meaning
 coefficient * base(n / 2^k); a base is a product of zeta(s - j) named by its
-shifts j.  :func:`form_value` evaluates one n, :func:`form_values` all n <= N.
+shifts j.  :func:`form_value` evaluates one n, :func:`form_values` all n <= N;
+the latter is the one series evaluator, for the closed forms and for the
+product forms of :data:`GF_TABLE` alike (:func:`table_form`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 Rational = int | Fraction
 
@@ -117,56 +118,25 @@ def odd_factorization_identity_holds(n: int) -> bool:
     return d3_alternating(n) == expected
 
 
-class CoeffSeries(NamedTuple):
-    """Coefficients a_1..a_N of a Dirichlet series, exact and 1-indexed."""
-
-    coeffs: tuple
-
-    @property
-    def n_max(self) -> int:
-        return len(self.coeffs)
-
-    def at(self, n: int):
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"coefficient index {n} outside 1..{self.n_max}")
-        return self.coeffs[n - 1]
-
-    def to_csv_rows(self) -> list[tuple[int, int]]:
-        return [(n, self.coeffs[n - 1]) for n in range(1, self.n_max + 1)]
-
-    def to_json(self) -> list:
-        return list(self.coeffs)
-
-
-def delta_series(N: int) -> CoeffSeries:
-    """Convolution identity (1, 0, 0, ...)."""
-    return CoeffSeries((1,) + (0,) * (N - 1))
-
-
-def zeta_coeffs(shift: int, N: int) -> CoeffSeries:
+def zeta_coeffs(shift: int, N: int) -> list[int]:
     """Coefficients n^shift, i.e. zeta(s - shift)."""
-    return CoeffSeries(tuple(n ** shift for n in range(1, N + 1)))
+    return [n ** shift for n in range(1, N + 1)]
 
 
-def convolve(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
+def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Dirichlet convolution (f*g)(n) = sum over d | n of f(d) g(n/d)."""
-    if f.n_max != g.n_max:
-        raise ValueError(f"truncation orders differ: {f.n_max} != {g.n_max}")
-    N = f.n_max
-    fa, ga = f.coeffs, g.coeffs
-    out = [0] * (N + 1)
-    for a in range(1, N + 1):
-        va = fa[a - 1]
-        if va == 0:
-            continue
-        for m in range(a, N + 1, a):
-            out[m] += va * ga[m // a - 1]
-    return CoeffSeries(tuple(out[1:]))
+    if len(f) != len(g):
+        raise ValueError(f"truncation orders differ: {len(f)} != {len(g)}")
+    out = [0] * (len(f) + 1)
+    for a, fa in enumerate(f, 1):
+        if fa:
+            out[a::a] = [v + fa * gv for v, gv in zip(out[a::a], g)]
+    return out[1:]
 
 
-def zeta_product(shifts: Sequence[int], N: int) -> CoeffSeries:
+def zeta_product(shifts: Sequence[int], N: int) -> list[int]:
     """Convolution of zeta(s - shift) factors; empty product is delta."""
-    out = delta_series(N)
+    out = [int(n == 1) for n in range(1, N + 1)]
     for sh in shifts:
         out = convolve(out, zeta_coeffs(sh, N))
     return out
@@ -178,14 +148,14 @@ def form_values(forms: dict, N: int) -> dict[object, list[int]]:
     One zeta_product series per base serves every form; each form is summed
     in integers over its common denominator, which must divide every total.
     """
-    series: dict[tuple, tuple] = {}
+    series: dict[tuple, list[int]] = {}
     out = {}
     for key, form in forms.items():
         den = lcm(*(Fraction(c).denominator for c, _, _ in form))
         acc = [0] * (N + 1)
         for c, k, base in form:
             if base not in series:
-                series[base] = zeta_product(base, N).coeffs
+                series[base] = zeta_product(base, N)
             step, weight = 1 << k, int(c * den)
             acc[step::step] = [a + weight * f for a, f in zip(acc[step::step], series[base])]
         bad = next((n for n in range(1, N + 1) if acc[n] % den), None)
@@ -195,49 +165,11 @@ def form_values(forms: dict, N: int) -> dict[object, list[int]]:
     return out
 
 
-def apply_poly(poly: Sequence[Rational], f: CoeffSeries) -> CoeffSeries:
-    """Apply a polynomial in t = 2^-s:  result(n) = sum_k p_k f(n / 2^k).
-
-    Terms with 2^k not dividing n vanish.  Coefficients may be exact
-    Fractions; use :func:`integerized` once a full row is assembled.
-    """
-    N = f.n_max
-    out = [0] * N
-    for k, p in enumerate(poly):
-        if p == 0:
-            continue
-        step = 1 << k
-        for m in range(step, N + 1, step):
-            out[m - 1] += p * f.at(m // step)
-    return CoeffSeries(tuple(out))
-
-
-def add_series(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
-    if f.n_max != g.n_max:
-        raise ValueError(f"truncation orders differ: {f.n_max} != {g.n_max}")
-    return CoeffSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
-
-
-def integerized(f: CoeffSeries) -> CoeffSeries:
-    """Cast exact rational coefficients to int, failing loudly otherwise.
-
-    A fractional coefficient in an assembled row signals a misread
-    generating function, never a rounding issue.
-    """
-    out = []
-    for i, v in enumerate(f.coeffs):
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError(f"non-integer coefficient {v} at n={i + 1}")
-            v = v.numerator
-        out.append(int(v))
-    return CoeffSeries(tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # Reference table of Dirichlet generating functions for the six counting
 # sequences, in product form: each row is a sum of terms
-# (polynomial in t = 2^-s, zeta shifts), evaluated by gf_coeffs.
+# (polynomial in t = 2^-s, zeta shifts).  table_form turns a row into
+# closed-form terms, so form_values evaluates it like any row of FORMS.
 #
 # Two rows are deliberately kept exactly as tabulated in the source so that
 # series_report can audit them instead of silently repairing them:
@@ -272,12 +204,17 @@ GF_TABLE: dict[tuple[str, str], list[tuple[list, tuple[int, ...]]]] = {
 }
 
 
-def gf_coeffs(iso: str, kind: str, N: int) -> CoeffSeries:
+def table_form(iso: str, kind: str) -> tuple:
+    """The GF_TABLE row as closed-form terms: poly[k] 2^-ks zeta-product is (poly[k], k, shifts)."""
+    if (iso, kind) not in GF_TABLE:
+        raise ValueError(f"unknown series kind {kind!r}" if kind not in ("s", "c")
+                         else f"unknown isomorphism type {iso!r}")
+    return tuple((c, k, shifts) for poly, shifts in GF_TABLE[iso, kind]
+                 for k, c in enumerate(poly) if c)
+
+
+def gf_coeffs(iso: str, kind: str, N: int) -> list[int]:
     """First N coefficients of the tabulated generating function row."""
     if N < 1:
         raise ValueError("truncation order must be >= 1")
-    terms = GF_TABLE[iso, kind]
-    out = CoeffSeries((0,) * N)
-    for poly, shifts in terms:
-        out = add_series(out, apply_poly(poly, zeta_product(shifts, N)))
-    return integerized(out)
+    return form_values({"row": table_form(iso, kind)}, N)["row"]

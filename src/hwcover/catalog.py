@@ -142,10 +142,14 @@ FORMS["g2", "c"] = _scaled(Fraction(3, 2), FORMS["g2_partial_total"] + FORMS["g2
 _COUNT_KEYS = tuple((iso, kind) for kind in ("s", "c") for iso in ISO_TYPES)
 
 
-def _count_form(iso: str, kind: str) -> tuple:
+def _known_iso(iso: str) -> str:
     if iso not in ISO_TYPES:
         raise ValueError(f"unknown isomorphism type {iso!r}")
-    return FORMS[iso, kind]
+    return iso
+
+
+def _count_form(iso: str, kind: str) -> tuple:
+    return FORMS[_known_iso(iso), kind]
 
 
 def count_s(iso: str, n: int) -> int:
@@ -187,7 +191,6 @@ def enumerate_g2(n: int) -> list[G2Descriptor]:
                     for s in range(lat.b)
                     for t in range(lat.a)
                 )
-    out.sort()
     return out
 
 
@@ -205,7 +208,6 @@ def enumerate_g6(n: int) -> list[G6Descriptor]:
                 for v in range(m)
                 for w in range(k)
             )
-    out.sort()
     return out
 
 
@@ -213,11 +215,14 @@ _ENUMERATORS = {"g1": enumerate_z3, "g2": enumerate_g2, "g6": enumerate_g6}
 
 
 def enumerate_iso(iso: str, n: int) -> list[Descriptor]:
-    return _ENUMERATORS[iso](n)
+    return _ENUMERATORS[_known_iso(iso)](n)
 
 
 def enumerate_index(n: int) -> list[Descriptor]:
-    """All index-n subgroups, z3 block first, then g2, then g6."""
+    """All index-n subgroups in sort_key order: z3 block first, then g2, then g6.
+
+    Every enumerator generates its parameters in increasing order, so no sort is needed.
+    """
     return [*enumerate_z3(n), *enumerate_g2(n), *enumerate_g6(n)]
 
 
@@ -440,7 +445,7 @@ def class_count(iso: str, n: int) -> int:
     full range of the acceptance checks stays fast; agreement with
     conjugacy_classes and with count_c is asserted by the test suite.
     """
-    if iso == "g1":
+    if _known_iso(iso) == "g1":
         ds = enumerate_z3(n)
         if not ds:
             return 0
@@ -455,15 +460,10 @@ def class_count(iso: str, n: int) -> int:
     if iso == "g2":
         fixed, swapped = _g2_axis_partial_split(n)
         return 3 * (fixed + swapped // 2)
-    if iso == "g6":
-        if n < 1 or n % 2 == 0:
-            return 0
-        return sum(
-            1
-            for k in _odd_divisors(n)
-            for l in _odd_divisors(n // k)
-        )
-    raise ValueError(f"unknown isomorphism type {iso!r}")
+    # g6: one class per (k, l, m), the conjugates differing only in (u, v, w)
+    if n < 1 or n % 2 == 0:
+        return 0
+    return sum(1 for k in _odd_divisors(n) for l in _odd_divisors(n // k))
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +589,14 @@ def _first_divergence(a: list[int], b: list[int]) -> int | None:
 
 
 def series_tables(N: int) -> tuple[dict, dict]:
-    """Closed-form counts and tabulated coefficients for n <= N, by (type, kind)."""
-    return count_arrays(N), {key: arith.gf_coeffs(*key, N).coeffs for key in _COUNT_KEYS}
+    """Closed-form counts and tabulated coefficients for n <= N, by (type, kind).
+
+    One form_values call over both sets of rows, so each base is convolved once.
+    """
+    vals = arith.form_values({**{("formula", key): FORMS[key] for key in _COUNT_KEYS},
+                              **{("table", key): arith.table_form(*key) for key in _COUNT_KEYS}}, N)
+    return ({key: vals["formula", key] for key in _COUNT_KEYS},
+            {key: vals["table", key] for key in _COUNT_KEYS})
 
 
 def series_report(N: int, tables: tuple[dict, dict] | None = None) -> dict:

@@ -39,8 +39,11 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
+    """The header, then the rows streamed from any iterable."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -92,12 +95,7 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         _emit(_json_text([catalog.to_json_dict(d) for d in ds]), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for d in ds:
-            writer.writerow(_descriptor_csv_row(d))
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv_text(_CSV_FIELDS, (_descriptor_csv_row(d).values() for d in ds)), args.out)
     return 0
 
 

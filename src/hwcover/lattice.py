@@ -73,26 +73,20 @@ class Hnf3(NamedTuple):
 
 
 def hnf2_all(n: int) -> list[Hnf2]:
-    """All index-n sublattices of Z^2, sorted; sigma1(n) of them."""
-    out = []
-    for b in divisors(n):
-        a = n // b
-        out.extend(Hnf2(b, c, a) for c in range(b))
-    out.sort()
-    return out
+    """All index-n sublattices of Z^2, in increasing order; sigma1(n) of them."""
+    return [Hnf2(b, c, n // b) for b in divisors(n) for c in range(b)]
 
 
 def hnf3_all(n: int) -> list[Hnf3]:
-    """All index-n sublattices of Z^3, sorted; omega(n) of them."""
+    """All index-n sublattices of Z^3, in increasing order; omega(n) of them.
+
+    The loops run over the fields in their tuple order c, e, f, b, d.
+    """
     out = []
     for c in divisors(n):
         rest = n // c
-        for b in divisors(rest):
-            a = rest // b
-            for e in range(c):
-                for d in range(b):
-                    out.extend(Hnf3(c, e, f, b, d, a) for f in range(c))
-    out.sort()
+        lower = [(b, d, rest // b) for b in divisors(rest) for d in range(b)]
+        out.extend(Hnf3(c, e, f, b, d, a) for e in range(c) for f in range(c) for b, d, a in lower)
     return out
 
 

@@ -7,20 +7,24 @@ from fractions import Fraction
 import pytest
 
 from hwcover.arith import (
-    CoeffSeries,
-    apply_poly,
+    D3_ALTERNATING,
+    GF_TABLE,
+    OMEGA,
+    ONE,
+    SIGMA2,
     convolve,
     d3,
     d3_alternating,
-    delta_series,
     divisors,
+    form_value,
+    form_values,
     gf_coeffs,
-    integerized,
     odd_factorization_identity_holds,
     omega,
     sigma0,
     sigma1,
     sigma2,
+    table_form,
     zeta_coeffs,
     zeta_product,
 )
@@ -125,31 +129,34 @@ def test_alternating_d3_counts_odd_factorizations():
 def test_convolve_zeta_squared_is_sigma0():
     N = 200
     z = zeta_coeffs(0, N)
-    assert convolve(z, z).coeffs == tuple(sigma0(n) for n in range(1, N + 1))
+    assert convolve(z, z) == [sigma0(n) for n in range(1, N + 1)]
 
 
 def test_convolution_identity_element():
     N = 64
-    f = CoeffSeries(tuple(range(1, N + 1)))
-    assert convolve(f, delta_series(N)) == f
-    assert convolve(delta_series(N), f) == f
+    f = list(range(1, N + 1))
+    delta = zeta_product((), N)
+    assert delta == [1] + [0] * (N - 1)
+    assert convolve(f, delta) == f
+    assert convolve(delta, f) == f
+    assert zeta_product((0, 1), 0) == [] == form_values({"f": ((1, 0, (0, 1)),)}, 0)["f"]
 
 
 def test_convolve_rejects_mismatched_orders():
     with pytest.raises(ValueError):
-        convolve(delta_series(4), delta_series(5))
+        convolve(zeta_product((), 4), zeta_product((), 5))
 
 
 def test_triple_shifted_zeta_at_4():
     # coefficients of zeta(s-1)^3 at n = 4: sum of abc over ordered triples
     series = zeta_product((1, 1, 1), 8)
-    assert series.at(4) == sum(a * b * c for a, b, c in brute_triples(4)) == 24
+    assert series[4 - 1] == sum(a * b * c for a, b, c in brute_triples(4)) == 24
 
 
 def test_zeta_product_of_shifts_0_1_2_gives_omega():
     series = zeta_product((0, 1, 2), 64)
-    assert series.at(4) == 35
-    assert series.coeffs == tuple(brute_omega(n) for n in range(1, 65))
+    assert series[4 - 1] == 35
+    assert series == [brute_omega(n) for n in range(1, 65)]
 
 
 def test_convolution_identities_to_ten_thousand():
@@ -172,60 +179,65 @@ def test_convolution_identities_to_ten_thousand():
             dd3[m] += s0
             om[m] += d * s1
     sigma1_series = zeta_product((0, 1), N)
-    assert sigma1_series.coeffs == tuple(sig1[1:])
-    assert convolve(sigma1_series, zeta_coeffs(0, N)).coeffs == tuple(sig2[1:])
-    assert zeta_product((0, 0, 0), N).coeffs == tuple(dd3[1:])
-    assert zeta_product((2, 1, 0), N).coeffs == tuple(om[1:])
+    assert sigma1_series == sig1[1:]
+    assert convolve(sigma1_series, zeta_coeffs(0, N)) == sig2[1:]
+    assert zeta_product((0, 0, 0), N) == dd3[1:]
+    assert zeta_product((2, 1, 0), N) == om[1:]
 
 
-def test_apply_poly_identity_and_shift():
+def test_form_values_identity_and_shift():
     N = 32
     f = zeta_product((1, 1, 1), N)
-    assert apply_poly([1], f) == f
-    shifted = apply_poly([0, 1], f)
-    assert shifted.at(8) == f.at(4) == 24
-    assert shifted.at(3) == 0
+    vals = form_values({"f": ((1, 0, (1, 1, 1)),), "t f": ((1, 1, (1, 1, 1)),)}, N)
+    assert vals["f"] == f
+    assert vals["t f"][8 - 1] == f[4 - 1] == 24
+    assert vals["t f"][3 - 1] == 0
 
 
-def test_apply_poly_cube_kills_even_indices():
+def test_form_values_alternating_cube_kills_even_indices():
     N = 128
     dd3 = zeta_product((0, 0, 0), N)
-    assert dd3.coeffs == tuple(brute_d3(n) for n in range(1, N + 1))
-    alt = apply_poly([1, -3, 3, -1], dd3)
+    assert dd3 == [brute_d3(n) for n in range(1, N + 1)]
+    alt = form_values({"alt": D3_ALTERNATING}, N)["alt"]
     for n in range(1, N + 1):
-        assert alt.at(n) == (d3(n) if n % 2 else 0), n
+        assert alt[n - 1] == (d3(n) if n % 2 else 0), n
 
 
-def test_integerized_rejects_fractions():
-    frac = apply_poly([Fraction(1, 4)], zeta_coeffs(0, 4))
-    with pytest.raises(ValueError):
-        integerized(frac)
-    assert integerized(apply_poly([Fraction(2, 2)], zeta_coeffs(0, 4))).coeffs == (1, 1, 1, 1)
-
-
-def test_series_serialization():
-    s = CoeffSeries((1, 3, 4))
-    assert s.to_csv_rows() == [(1, 1), (2, 3), (3, 4)]
-    assert s.to_json() == [1, 3, 4]
-    assert s.at(2) == 3
-    with pytest.raises(IndexError):
-        s.at(4)
+def test_form_values_rejects_fractional_rows():
+    with pytest.raises(ArithmeticError, match="n=1"):
+        form_values({"quarter": ((Fraction(1, 4), 0, ONE),)}, 4)
+    assert form_values({"one": ((Fraction(2, 2), 0, ONE),)}, 4)["one"] == [1, 1, 1, 1]
 
 
 # --- tabulated generating functions -------------------------------------------
 
+def test_table_form_reads_each_polynomial_coefficient_as_a_term():
+    assert table_form("g1", "s") == ((1, 2, OMEGA),)
+    assert table_form("g1", "c") == ((Fraction(1, 4), 2, OMEGA), (Fraction(3, 4), 2, SIGMA2),
+                                     (Fraction(9, 4), 3, SIGMA2))
+    with pytest.raises(ValueError, match="unknown series kind 'x'"):
+        table_form("g1", "x")
+
+
+@pytest.mark.parametrize("key", sorted(GF_TABLE))
+def test_gf_rows_agree_with_the_divisor_sum_evaluator(key):
+    # convolution (form_values) against one-n divisor sums (form_value)
+    N = 256
+    assert gf_coeffs(*key, N) == [form_value(table_form(*key), n) for n in range(1, N + 1)]
+
+
 def test_gf_g1_s_is_omega_shifted_twice_dyadically():
     series = gf_coeffs("g1", "s", 64)
-    assert series.at(4) == 1  # omega(1)
+    assert series[4 - 1] == 1  # omega(1)
     for n in range(1, 65):
-        assert series.at(n) == omega(Fraction(n, 4)), n
+        assert series[n - 1] == omega(Fraction(n, 4)), n
 
 
 def test_gf_g6_c_vanishes_at_even_indices():
     series = gf_coeffs("g6", "c", 128)
     for n in range(2, 129, 2):
-        assert series.at(n) == 0
+        assert series[n - 1] == 0
 
 
 def test_gf_g1_c_spot_value():
-    assert gf_coeffs("g1", "c", 16).at(16) == 26
+    assert gf_coeffs("g1", "c", 16)[16 - 1] == 26

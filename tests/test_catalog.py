@@ -20,6 +20,7 @@ from hwcover.catalog import (
     enumerate_g2,
     enumerate_g6,
     enumerate_index,
+    enumerate_iso,
     enumerate_z3,
     flip_fixed_count_2d,
     flip_fixed_count_3d,
@@ -29,6 +30,7 @@ from hwcover.catalog import (
     index_of,
     is_normal,
     normal_counts,
+    sort_key,
     to_json_dict,
     z3_normal_closed_form,
     z3_orbit_split,
@@ -90,6 +92,13 @@ def test_enumerations_contain_no_duplicates():
         assert len(set(ds)) == len(ds)
 
 
+def test_enumerations_are_generated_in_canonical_order():
+    # enumerate_index does not sort; its enumerators must generate in sort_key order
+    for n in range(1, 129):
+        ds = enumerate_index(n)
+        assert ds == sorted(ds, key=sort_key), n
+
+
 def test_degenerate_indices_give_empty_lists_never_errors():
     for fn in (enumerate_z3, enumerate_g2, enumerate_g6):
         assert fn(0) == []
@@ -103,6 +112,17 @@ def test_unknown_iso_tag_rejected():
         count_c("torus", 4)
     with pytest.raises(ValueError):
         class_count("g5", 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_s("g7", 4),
+    lambda: class_count("g7", 4),
+    lambda: enumerate_iso("g7", 4),
+    lambda: arith.gf_coeffs("g7", "s", 4),
+], ids=["count_s", "class_count", "enumerate_iso", "gf_coeffs"])
+def test_unknown_type_raises_value_error_naming_it(call):
+    with pytest.raises(ValueError, match="unknown isomorphism type 'g7'"):
+        call()
 
 
 # --- generators and membership ------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, round trips, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -102,6 +103,18 @@ def test_series_out_file(tmp_path, capsys):
     assert lookup["g1", "s", "4"]["table_value"] == "1"
     assert lookup["g2", "s", "2"] == {"type": "g2", "kind": "s", "n": "2",
                                       "table_value": "1", "formula_value": "3"}
+
+
+def test_series_bytes_pinned_at_4096(tmp_path, capsys):
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    path = tmp_path / "coeffs.csv"
+    _, csv_out, _ = run_cli(capsys, "series", "--max", "4096", "--out", str(path))
+    _, json_out, _ = run_cli(capsys, "series", "--max", "4096", "--format", "json")
+    assert digest(csv_out.encode()) == "60e03c412d6c385ba6450a9f523d459f9cf4e6ca77404a3aae4e1143653ac33c"
+    assert digest(json_out.encode()) == "67ddbdadef1a1f3597fd590963c8a930129ea563affe6ed3dac09f1fd6814d62"
+    assert digest(path.read_bytes()) == "d2f2deb70c0eda7e92a25317d1a74cecb4a27e87bea0f052ebe667d9c00a1380"
 
 
 def test_verify_ok(capsys):

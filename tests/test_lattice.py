@@ -36,6 +36,12 @@ def test_3d_counts():
         assert all(h.index == n for h in lats)
 
 
+def test_enumerations_are_generated_in_increasing_order():
+    for n in range(1, 65):
+        assert hnf2_all(n) == sorted(hnf2_all(n)), n
+        assert hnf3_all(n) == sorted(hnf3_all(n)), n
+
+
 def test_membership_of_basis_and_combinations():
     rng = random.Random(3)
     for h in rng.sample(hnf3_all(12), 10):
