@@ -493,9 +493,10 @@ def z3_normal_closed_form(n: int) -> int:
     basis vector x^(2f) y^2 z^2 conjugates to x^(2f) y^-2 z^-2, which the
     lattice misses whenever the half-shift structure forces 4 | exponent
     gaps).  The form used here matches the sign-flip-invariance filter, the
-    exact conjugation machinery, and a coset-table word test at every
-    index; the first divergence of the published form is n = 32 (39 vs the
-    actual 37).  See the test suite for the recorded comparison.
+    exact conjugation machinery, and the singleton classes of the oracle's
+    coset tables (n <= 32, from the presentation alone); the first divergence
+    of the published form is n = 32 (39 vs the actual 37).  See the test
+    suite for the recorded comparison.
     """
     return form_value(FORMS["z3_normal"], n)
 

@@ -167,7 +167,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = [oracle.cross_check(n, oracle_limit=args.oracle_limit)
+    # Every n is at most max, so searching deeper than max cannot fill a cell.
+    reports = [oracle.cross_check(n, oracle_limit=min(args.max, args.oracle_limit))
                for n in range(1, args.max + 1)]
     ok = all(r.all_match for r in reports)
     if args.format == "json":
@@ -180,7 +181,7 @@ def _cmd_verify(args) -> int:
             f"n={row.n} type={row.iso}" + (f" ({row.failure})" if row.failure else "")
             for r in reports for row in r.rows if not row.match
         ] + [
-            f"n={r.n} tables_bijective=false"
+            f"n={r.n} tables_bijective=false" + (f" ({r.failure})" if r.failure else "")
             for r in reports if r.tables_bijective is False
         ]
         print("verify: MISMATCH at " + "; ".join(bad), file=sys.stderr)
@@ -208,7 +209,7 @@ def _oracle_limit(text: str) -> int:
         raise argparse.ArgumentTypeError("must be >= 0")
     if val > oracle.HARD_CAP:
         raise argparse.ArgumentTypeError(
-            f"oracle limit capped at {oracle.HARD_CAP} to bound runtime"
+            f"must be <= {oracle.HARD_CAP}, the hard cap of the coset-table search"
         )
     return val
 
@@ -255,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="three-way verification for n <= MAX")
     p.add_argument("--max", type=_positive, required=True)
     p.add_argument("--oracle-limit", type=_oracle_limit,
-                   default=oracle.DEFAULT_ORACLE_LIMIT)
+                   default=oracle.DEFAULT_ORACLE_LIMIT, metavar="K",
+                   help=f"fill the oracle columns for n <= K (default "
+                        f"{oracle.DEFAULT_ORACLE_LIMIT}, hard cap {oracle.HARD_CAP})")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 

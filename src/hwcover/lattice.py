@@ -71,6 +71,12 @@ class Hnf3(NamedTuple):
             return False
         return (v[0] - j * self.e - k * self.f) % self.c == 0
 
+    def reduce_coset(self, v: tuple[int, int, int]) -> tuple[int, int, int]:
+        """Canonical coset representative in [0, c) x [0, b) x [0, a)."""
+        k, r2 = divmod(v[2], self.a)
+        j, r1 = divmod(v[1] - k * self.d, self.b)
+        return (v[0] - j * self.e - k * self.f) % self.c, r1, r2
+
 
 def hnf2_all(n: int) -> list[Hnf2]:
     """All index-n sublattices of Z^2, in increasing order; sigma1(n) of them."""

@@ -14,21 +14,34 @@ each conjugacy class) is produced exactly once.
 Conjugacy classes are recovered afterwards by canonical relabeling: two
 stabilizers are conjugate exactly when their tables agree after forgetting
 the basepoint, i.e. when they share the minimum-over-basepoints canonical
-form.
+form.  The n basepoint relabelings of one table are exactly the base-0
+forms of its class members, so each class is relabeled once, for its first
+member seen; forms are plain tuples, and only tables handed out of the
+module are validated.
+
+The descriptor bridge labels each coset in O(1): the subgroup H meets the
+translations in a lattice T and is the union of r T over a transversal R,
+one r per letter of H, so a left coset gH is the union of the translation
+cosets (g r) T.  The one with the least letter, its translation reduced
+mod T, names gH; the right coset Hg is labeled by g^-1 H.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group Theory",
-chapter 5 (coset enumeration and the low-index subgroups algorithm).
+chapter 5 (coset enumeration and the low-index subgroups algorithm); Sims,
+"Computation with Finitely Presented Groups" (1994), on low-index subgroups
+and standardized coset tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import catalog
-from .group import IDENTITY, TOKEN_ELEMENT, Element
-from .catalog import Descriptor, contains, index_of
+from .group import IDENTITY, LETTER_TIMES, LETTERS, TOKEN_ELEMENT, Element
+from .catalog import Descriptor, index_of
+from .lattice import Hnf3
 
 # Generator columns: x, x^-1, y, y^-1, z, z^-1; column g's inverse is g ^ 1.
 _COLS = 6
@@ -52,7 +65,7 @@ _ROT: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
 )
 
 DEFAULT_ORACLE_LIMIT = 16
-HARD_CAP = 24
+HARD_CAP = 48
 
 
 @dataclass(frozen=True)
@@ -259,35 +272,42 @@ def stabilizer_type(t: CosetTable) -> str:
     return {1: "g1", 2: "g2", 4: "g6"}[4 // orbits]
 
 
-def canonical_table(t: CosetTable, base: int = 0) -> CosetTable:
-    """Relabel cosets by breadth-first order from base.
+def _relabelings(t: CosetTable, bases: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Canonical form x + y + z of t relabeled breadth-first from each base.
 
-    Generator order x, y, z, x^-1, y^-1, z^-1; the result depends only on
-    the abstract action and the chosen basepoint.
+    Generator order x, y, z, x^-1, y^-1, z^-1; a form depends only on the
+    abstract action and the chosen basepoint.
     """
     perms = (t.x, t.y, t.z, *(_inverse_perm(p) for p in (t.x, t.y, t.z)))
-    order = [base]
-    pos = {base: 0}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for p in perms:
-            d = p[c]
-            if d not in pos:
-                pos[d] = len(order)
-                order.append(d)
-    def relabel(p: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(p)
-        for old, new in pos.items():
-            out[new] = pos[p[old]]
-        return tuple(out)
-    return CosetTable(relabel(t.x), relabel(t.y), relabel(t.z))
+    for base in bases:
+        order = [base]
+        pos = {base: 0}
+        for c in order:  # order grows while it is scanned
+            for p in perms:
+                if p[c] not in pos:
+                    pos[p[c]] = len(order)
+                    order.append(p[c])
+        yield tuple(pos[p[c]] for p in perms[:3] for c in order)
 
 
-def _class_key(t: CosetTable) -> tuple:
-    forms = (canonical_table(t, base) for base in range(t.degree))
-    return min((f.x + f.y + f.z) for f in forms)
+def _base_form(t: CosetTable) -> tuple[int, ...]:
+    return next(_relabelings(t, (0,)))
+
+
+def canonical_table(t: CosetTable, base: int = 0) -> CosetTable:
+    """Relabel cosets by breadth-first order from base."""
+    form, n = next(_relabelings(t, (base,))), t.degree
+    return CosetTable(form[:n], form[n:2 * n], form[2 * n:])
+
+
+def _class_keys(tables: Sequence[CosetTable], forms: Sequence[tuple]) -> list[tuple]:
+    """Class key of each table, its least relabeling, given its base-0 form."""
+    key_of: dict[tuple, tuple] = {}
+    for t, form in zip(tables, forms):
+        if form not in key_of:
+            members = list(_relabelings(t, range(t.degree)))
+            key_of.update(dict.fromkeys(members, min(members)))
+    return [key_of[form] for form in forms]
 
 
 def classes_of(tables: Iterable[CosetTable]) -> list[list[CosetTable]]:
@@ -297,8 +317,8 @@ def classes_of(tables: Iterable[CosetTable]) -> list[list[CosetTable]]:
     if len(degrees) > 1:
         raise ValueError(f"tables of mixed degree: {sorted(degrees)}")
     buckets: dict[tuple, list[CosetTable]] = {}
-    for t in tables:
-        buckets.setdefault(_class_key(t), []).append(t)
+    for t, key in zip(tables, _class_keys(tables, [_base_form(t) for t in tables])):
+        buckets.setdefault(key, []).append(t)
     return [buckets[key] for key in sorted(buckets)]
 
 
@@ -310,70 +330,71 @@ class EnumerationError(RuntimeError):
     """Coset enumeration of a descriptor disagreed with its stated index."""
 
 
+_INVERSE_GENERATORS = (TOKEN_ELEMENT["X"], TOKEN_ELEMENT["Y"], TOKEN_ELEMENT["Z"])
+
+
+def _left_coset_key(d: Descriptor) -> Callable[[Element], tuple]:
+    """Label of the left coset gH of the descriptor's subgroup H, in O(1).
+
+    T = H meet the translations, read from the Element fields ``pos`` (G2: axis,
+    then its cyclic plane pair); R has one element of H per letter of H.
+    """
+    if isinstance(d, catalog.Z3Descriptor):
+        lattice, pos, reps = d.lattice, (1, 2, 3), (IDENTITY,)
+    elif isinstance(d, catalog.G2Descriptor):
+        i, h = "xyz".index(d.axis), d.lattice
+        lattice, pos = Hnf3(d.k, 0, 0, h.b, h.c, h.a), (i + 1, (i + 1) % 3 + 1, (i + 2) % 3 + 1)
+        reps = (IDENTITY, catalog.generators(d)[2])
+    else:
+        lattice, pos = Hnf3(d.m, 0, 0, d.k, 0, d.l), (1, 2, 3)
+        reps = (IDENTITY, *catalog.generators(d))
+    # The letters of g r over r in R are distinct, so the least one decides.
+    best = {lt: min(reps, key=lambda r: LETTER_TIMES[lt, r.letter]) for lt in LETTERS}
+    i0, i1, i2 = pos
+
+    def key(g: Element) -> tuple:
+        r = best[g.letter]
+        if r is not IDENTITY:
+            g = g * r
+        return (g.letter, *lattice.reduce_coset((g[i0], g[i1], g[i2])))
+    return key
+
+
 def descriptor_to_table(d: Descriptor, max_cosets: int | None = None) -> CosetTable:
     """Permutation action on the right cosets of the descriptor's subgroup.
 
     Built by breadth-first coset enumeration over the exact group
-    arithmetic, using the descriptor's membership test to identify cosets;
-    basepoint 0 is the subgroup itself.  Raises EnumerationError when the
-    enumeration does not close at exactly index_of(d) cosets (a diagnostic
-    for inconsistent generators/membership, e.g. under fault injection).
+    arithmetic; basepoint 0 is the subgroup itself, and each right coset Hg
+    is found by the label of the left coset g^-1 H.  Raises EnumerationError
+    when the enumeration does not close at exactly index_of(d) cosets or
+    does not give a valid table (a diagnostic for inconsistent parameters,
+    e.g. under fault injection).
     """
     expected = index_of(d)
     limit = max_cosets if max_cosets is not None else expected
     if expected > limit:
         raise EnumerationError(f"index {expected} exceeds the enumeration limit {limit}")
-    reps: list[Element] = [IDENTITY]
-    inverses: list[Element] = [IDENTITY]
-    images: dict[str, list[int]] = {"x": [], "y": [], "z": []}
-    qi = 0
-    while qi < len(reps):
-        rep = reps[qi]
-        for gen in ("x", "y", "z"):
-            moved = rep * TOKEN_ELEMENT[gen]
-            target = None
-            for j, other_inv in enumerate(inverses):
-                if contains(d, moved * other_inv):
-                    target = j
-                    break
-            if target is None:
-                if len(reps) >= expected:
-                    raise EnumerationError(
-                        f"more than {expected} cosets found for {d!r}"
-                    )
-                target = len(reps)
-                reps.append(moved)
-                inverses.append(moved.inverse())
-            images[gen].append(target)
-        qi += 1
-    if len(reps) != expected:
+    key = _left_coset_key(d)
+    inverses: list[Element] = [IDENTITY]  # g^-1 of each coset Hg, in BFS order
+    labels = {key(IDENTITY): 0}
+    images: tuple[list[int], ...] = ([], [], [])
+    for inv in inverses:  # inverses grows while it is scanned
+        for gen_inv, column in zip(_INVERSE_GENERATORS, images):
+            moved = gen_inv * inv
+            target = labels.setdefault(key(moved), len(inverses))
+            if target == len(inverses):
+                if target >= expected:
+                    raise EnumerationError(f"more than {expected} cosets found for {d!r}")
+                inverses.append(moved)
+            column.append(target)
+    if len(inverses) != expected:
         raise EnumerationError(
-            f"enumeration closed at {len(reps)} cosets, descriptor says {expected}"
+            f"enumeration closed at {len(inverses)} cosets, descriptor says {expected}"
         )
     try:
-        return CosetTable(tuple(images["x"]), tuple(images["y"]), tuple(images["z"]))
+        return CosetTable(*map(tuple, images))
     except ValueError as exc:
         raise EnumerationError(str(exc)) from exc
-
-
-def element_word(g: Element) -> list[str]:
-    """A defining word for g in the generator tokens."""
-    word = []
-    if g.letter != "e":
-        word.append(g.letter)
-    for tok, count in (("x", g.a), ("y", g.b), ("z", g.c)):
-        word.extend([tok if count > 0 else tok.upper()] * (2 * abs(count)))
-    return word
-
-
-def table_membership(t: CosetTable, g: Element) -> bool:
-    """Whether g stabilizes the basepoint of the table."""
-    perms = t.perms()
-    cols = {"x": 0, "X": 1, "y": 2, "Y": 3, "z": 4, "Z": 5}
-    p = 0
-    for tok in element_word(g):
-        p = perms[cols[tok]][p]
-    return p == 0
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +435,16 @@ class CountRow:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
+    """Rows of one index, plus whether the oracle and catalog tables coincide.
+
+    ``failure`` names the descriptor whose table raised, with the exception, or
+    the first table in key order whose multiplicities differ; writers omit it.
+    """
+
     n: int
     rows: tuple[CountRow, ...]
     tables_bijective: bool | None  # None when the oracle was not run
+    failure: str | None = None
 
     @property
     def all_match(self) -> bool:
@@ -459,24 +487,21 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     row's failure) or a false flag.
     """
     use_oracle = 1 <= n <= oracle_limit
-    oracle_s: dict[str, int] = {}
-    oracle_c: dict[str, int] = {}
-    oracle_keys: dict[tuple, int] | None = None
+    oracle_s: Counter[str] = Counter()
+    oracle_c: Counter[str] = Counter()
+    oracle_keys: Counter[tuple] = Counter()
     if use_oracle:
-        by_type: dict[str, list[CosetTable]] = {iso: [] for iso in catalog.ISO_TYPES}
-        oracle_keys = {}
-        for t in low_index(n, search_limit=oracle_limit):
-            by_type[stabilizer_type(t)].append(t)
-            norm = canonical_table(t, 0)
-            key = norm.x + norm.y + norm.z
-            oracle_keys[key] = oracle_keys.get(key, 0) + 1
-        for iso in catalog.ISO_TYPES:
-            oracle_s[iso] = len(by_type[iso])
-            oracle_c[iso] = len(classes_of(by_type[iso]))
+        tables = low_index(n, search_limit=oracle_limit)
+        forms = [_base_form(t) for t in tables]
+        types = [stabilizer_type(t) for t in tables]
+        oracle_keys.update(forms)
+        oracle_s.update(types)
+        oracle_c.update(iso for iso, _ in set(zip(types, _class_keys(tables, forms))))
 
     rows = []
     bijective: bool | None = None
-    catalog_keys: dict[tuple, int] = {}
+    failure: str | None = None
+    catalog_keys: Counter[tuple] = Counter()
     catalog_ok = use_oracle
     for iso in catalog.ISO_TYPES:
         failures = []
@@ -491,25 +516,30 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
         except Exception as exc:
             c_cat = None
             failures.append(f"{type(exc).__name__}: {exc}")
-        if use_oracle and s_cat is not None:
+        if use_oracle and s_cat is not None and catalog_ok:
             for d in ds:
                 try:
-                    norm = canonical_table(descriptor_to_table(d), 0)
-                except (EnumerationError, ValueError):
+                    catalog_keys[_base_form(descriptor_to_table(d))] += 1
+                except (EnumerationError, ValueError) as exc:
                     catalog_ok = False
+                    failure = f"{d!r}: {type(exc).__name__}: {exc}"
                     break
-                key = norm.x + norm.y + norm.z
-                catalog_keys[key] = catalog_keys.get(key, 0) + 1
         elif use_oracle:
             catalog_ok = False
         rows.append(CountRow(
             n=n, iso=iso,
             s_closed=catalog.count_s(iso, n), s_catalog=s_cat,
-            s_oracle=oracle_s.get(iso) if use_oracle else None,
+            s_oracle=oracle_s[iso] if use_oracle else None,
             c_closed=catalog.count_c(iso, n), c_catalog=c_cat,
-            c_oracle=oracle_c.get(iso) if use_oracle else None,
+            c_oracle=oracle_c[iso] if use_oracle else None,
             failure="; ".join(failures) or None,
         ))
     if use_oracle:
-        bijective = catalog_ok and catalog_keys == oracle_keys
-    return CrossCheckReport(n=n, rows=tuple(rows), tables_bijective=bijective)
+        differ = [k for k in oracle_keys.keys() | catalog_keys.keys()
+                  if oracle_keys[k] != catalog_keys[k]]
+        if differ and failure is None:
+            k = min(differ)
+            failure = (f"table x={k[:n]} y={k[n:2 * n]} z={k[2 * n:]}: "
+                       f"oracle {oracle_keys[k]}, catalog {catalog_keys[k]}")
+        bijective = catalog_ok and not differ
+    return CrossCheckReport(n=n, rows=tuple(rows), tables_bijective=bijective, failure=failure)

@@ -380,7 +380,8 @@ def test_normal_g2_piecewise_rule():
 
 def test_published_z3_normal_form_diverges_at_32():
     # the published closed form has an extra 2*d3(n/32) term; the filtered
-    # count (ground truth, also confirmed by coset-table word tests) does not
+    # count (ground truth, also confirmed by the singleton classes of the
+    # coset tables in test_oracle.py) does not
     for n in range(1, 65):
         published = z3_normal_closed_form(n) + 2 * d3(Fraction(n, 32))
         actual = sum(1 for d in enumerate_z3(n) if is_normal(d))

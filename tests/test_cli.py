@@ -155,12 +155,40 @@ def test_verify_mismatch_names_the_exception(capsys, monkeypatch):
     assert all(r["c_catalog"] == "" for r in csv.DictReader(io.StringIO(out)))
 
 
+def test_verify_mismatch_names_the_descriptor_whose_table_fails(capsys, monkeypatch):
+    from hwcover import oracle
+    victim = catalog.enumerate_g2(4)[5]
+    real = oracle.descriptor_to_table
+
+    def descriptor_to_table(d, max_cosets=None):
+        if d == victim:
+            raise oracle.EnumerationError("closed early")
+        return real(d, max_cosets)
+    monkeypatch.setattr(oracle, "descriptor_to_table", descriptor_to_table)
+    code, out, err = run_cli(capsys, "verify", "--max", "4", "--oracle-limit", "4")
+    assert code == 1
+    assert f"n=4 tables_bijective=false ({victim!r}: EnumerationError: closed early)" in err
+    assert "closed early" not in out
+
+
+def test_verify_searches_no_deeper_than_max(capsys):
+    from hwcover import oracle
+    oracle._tables_up_to.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--max", "6", "--oracle-limit", "48")
+    assert code == 0
+    assert out == run_cli(capsys, "verify", "--max", "6", "--oracle-limit", "6")[1]
+    assert oracle._tables_up_to.cache_info().currsize == 1  # one search, to depth 6
+
+
 def test_exit_code_2_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing --index
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--max", "4", "--oracle-limit", "99"])  # above hard cap
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max", "4", "--oracle-limit", "49"])  # one above hard cap
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "0"])

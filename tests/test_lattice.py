@@ -136,6 +136,16 @@ def test_reduce_coset_is_a_transversal():
             assert h.contains((s - rs, t - rt))
 
 
+def test_reduce_coset_3d_is_a_transversal():
+    for h in hnf3_all(12):
+        box = list(itertools.product(*(range(-m, 2 * m) for m in (h.c, h.b, h.a))))
+        reps = {h.reduce_coset(v) for v in box}
+        assert reps == set(itertools.product(range(h.c), range(h.b), range(h.a))), h
+        for v in box:
+            r = h.reduce_coset(v)
+            assert h.contains(tuple(x - y for x, y in zip(v, r))), (h, v)
+
+
 def test_redundant_generators_are_fine():
     h = hnf2_of([(4, 0), (1, 2), (5, 2), (8, 0)])
     assert h == hnf2_of([(4, 0), (1, 2)])

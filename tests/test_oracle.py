@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from hwcover import catalog
-from hwcover.group import GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTERS, Element
+from hwcover import arith, catalog, oracle
+from hwcover.group import GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTERS, TOKEN_ELEMENT, Element
 from hwcover.lattice import Hnf2, Hnf3
 from hwcover.oracle import (
     CosetTable,
@@ -16,13 +16,57 @@ from hwcover.oracle import (
     cross_check,
     csv_rows,
     descriptor_to_table,
-    element_word,
     low_index,
     stabilizer_type,
-    table_membership,
 )
 
 ISO = ("g1", "g2", "g6")
+
+
+# --- reference implementations (test witnesses) -----------------------------
+
+def scan_descriptor_to_table(d):
+    """Coset enumeration that finds each coset by a linear scan over the
+    earlier ones, through the descriptor's membership test."""
+    reps, inverses = [IDENTITY], [IDENTITY]
+    images = {"x": [], "y": [], "z": []}
+    for rep in reps:  # reps grows while it is scanned
+        for gen in images:
+            moved = rep * TOKEN_ELEMENT[gen]
+            target = next((j for j, inv in enumerate(inverses)
+                           if catalog.contains(d, moved * inv)), None)
+            if target is None:
+                target = len(reps)
+                reps.append(moved)
+                inverses.append(moved.inverse())
+            images[gen].append(target)
+    return CosetTable(tuple(images["x"]), tuple(images["y"]), tuple(images["z"]))
+
+
+def class_key(t):
+    """Minimum canonical form over all basepoints, one validated table each."""
+    forms = (canonical_table(t, base) for base in range(t.degree))
+    return min((f.x + f.y + f.z) for f in forms)
+
+
+def element_word(g):
+    """A defining word for g in the generator tokens."""
+    word = []
+    if g.letter != "e":
+        word.append(g.letter)
+    for tok, count in (("x", g.a), ("y", g.b), ("z", g.c)):
+        word.extend([tok if count > 0 else tok.upper()] * (2 * abs(count)))
+    return word
+
+
+def table_membership(t, g):
+    """Whether g stabilizes the basepoint of the table."""
+    perms = t.perms()
+    cols = {"x": 0, "X": 1, "y": 2, "Y": 3, "z": 4, "Z": 5}
+    p = 0
+    for tok in element_word(g):
+        p = perms[cols[tok]][p]
+    return p == 0
 
 
 def test_table_validation_rejects_garbage():
@@ -135,6 +179,24 @@ def test_coset_count_equals_declared_index():
             assert descriptor_to_table(d).degree == catalog.index_of(d), d
 
 
+def test_transversal_labels_match_the_linear_scan():
+    for n in range(1, 17):
+        for d in catalog.enumerate_index(n):
+            assert descriptor_to_table(d) == scan_descriptor_to_table(d), d
+    rng = random.Random(43)
+    for n in range(17, 25):
+        for d in rng.sample(catalog.enumerate_index(n), 40):
+            assert descriptor_to_table(d) == scan_descriptor_to_table(d), d
+
+
+def test_class_keys_match_the_minimum_over_all_basepoints():
+    for n in range(1, 17):
+        tables = low_index(n, search_limit=16)
+        forms = [canonical_table(t, 0) for t in tables]
+        keys = oracle._class_keys(tables, [f.x + f.y + f.z for f in forms])
+        assert keys == [class_key(t) for t in tables], n
+
+
 def test_table_membership_agrees_with_contains():
     rng = random.Random(37)
     pool = [d for n in (4, 6, 8, 9, 12) for d in catalog.enumerate_index(n)]
@@ -208,12 +270,62 @@ def test_csv_rows_shape():
 
 def test_hard_cap_guard():
     with pytest.raises(ValueError):
-        low_index(30, search_limit=30)
+        low_index(49, search_limit=49)
+
+
+def _swap_one_table(monkeypatch, victim, replacement):
+    real = oracle.descriptor_to_table
+
+    def patched(d, max_cosets=None):
+        return replacement(d) if d == victim else real(d, max_cosets)
+    monkeypatch.setattr(oracle, "descriptor_to_table", patched)
+
+
+def test_cross_check_names_the_first_differing_table(monkeypatch):
+    victim, other = catalog.enumerate_g2(6)[:2]
+    _swap_one_table(monkeypatch, victim, lambda d: descriptor_to_table(other))
+    rep = cross_check(6, oracle_limit=6)
+    assert rep.tables_bijective is False and not rep.all_match
+    # the victim's table is missing from the catalog side and the other's is
+    # doubled; the report names the one that comes first in key order
+    missing, doubled = (canonical_table(descriptor_to_table(d), 0) for d in (victim, other))
+    k = min(missing, doubled, key=lambda t: t.x + t.y + t.z)
+    counts = "oracle 1, catalog 0" if k == missing else "oracle 1, catalog 2"
+    assert rep.failure == f"table x={k.x} y={k.y} z={k.z}: {counts}"
+    assert cross_check(6, oracle_limit=0).failure is None
+
+
+def test_cross_check_names_the_descriptor_whose_table_fails(monkeypatch):
+    victim = catalog.enumerate_z3(8)[3]
+
+    def fail(d):
+        raise EnumerationError("closed early")
+    _swap_one_table(monkeypatch, victim, fail)
+    rep = cross_check(8, oracle_limit=8)
+    assert rep.tables_bijective is False
+    assert rep.failure == f"{victim!r}: EnumerationError: closed early"
+
+
+# One cached backtrack to 32 serves the next two tests; keep them adjacent.
+
+def test_normal_subgroups_are_the_singleton_classes_of_the_presentation():
+    # A subgroup is normal exactly when its class has one member, so the
+    # coset tables alone count the normal subgroups of each type.
+    rows = {"g1": "z3_normal", "g2": "g2_normal", "g6": "g6_normal"}
+    for n in range(1, 33):
+        by_type = {iso: [] for iso in ISO}
+        for t in low_index(n, search_limit=32):
+            by_type[stabilizer_type(t)].append(t)
+        for iso, tables in by_type.items():
+            normal = sum(1 for cls in classes_of(tables) if len(cls) == 1)
+            assert normal == arith.form_value(catalog.FORMS[rows[iso]], n), (n, iso)
+            if (n, iso) == (32, "g1"):
+                assert normal == 37  # the published closed form says 39
 
 
 def test_cross_check_spot_values_up_to_the_hard_cap():
-    # beyond the default oracle window: a few full three-way checks at the cap
-    for n in (18, 21, 24):
-        rep = cross_check(n, oracle_limit=24)
+    # beyond the default oracle window: full three-way checks up to 32
+    for n in (18, 21, 24, 32):
+        rep = cross_check(n, oracle_limit=32)
         assert rep.all_match, n
         assert rep.tables_bijective is True, n
