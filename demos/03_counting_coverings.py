@@ -29,6 +29,7 @@ Things to notice:
 
 print("== how class sizes split for the torus-type subgroups ==")
 for n in (4, 8, 16, 32, 64):
-    split = catalog.z3_orbit_split(n)
-    print(f"  n={n:<3d} subgroups in classes of size 1/2/4: {tuple(split)}"
-          f"  -> classes = {split.size1 + split.size2 // 2 + split.size4 // 4}")
+    sizes = [len(cls) for cls in catalog.conjugacy_classes(catalog.enumerate_z3(n))]
+    split = tuple(size * sizes.count(size) for size in (1, 2, 4))
+    print(f"  n={n:<3d} subgroups in classes of size 1/2/4: {split}"
+          f"  -> classes = {len(sizes)}")

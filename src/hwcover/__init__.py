@@ -33,16 +33,10 @@ from .catalog import (
     enumerate_index,
     enumerate_iso,
     enumerate_z3,
-    flip_fixed_count_2d,
-    flip_fixed_count_3d,
-    g2_partial_split,
     generators,
     index_of,
-    is_normal,
     normal_counts,
     series_report,
-    z3_normal_closed_form,
-    z3_orbit_split,
 )
 from .group import AffineIso, Element, GENERATORS, IDENTITY, eval_word, parse_word
 from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, hnf3_all, hnf3_of

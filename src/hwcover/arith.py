@@ -112,12 +112,6 @@ def d3_alternating(n: Rational) -> int:
     return form_value(D3_ALTERNATING, n)
 
 
-def odd_factorization_identity_holds(n: int) -> bool:
-    """Check d3_alternating(n) == (d3(n) if n odd else 0)."""
-    expected = d3(n) if n % 2 else 0
-    return d3_alternating(n) == expected
-
-
 def zeta_coeffs(shift: int, N: int) -> list[int]:
     """Coefficients n^shift, i.e. zeta(s - shift)."""
     return [n ** shift for n in range(1, N + 1)]

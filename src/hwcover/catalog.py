@@ -23,11 +23,15 @@ the parameters; these formulas are the implementation.  The group arithmetic
 is their independent witness in the test suite, which conjugates generators
 and checks that they land in the computed image of the same index.
 
-Every closed form is one row of :data:`FORMS`.  ``count_s`` (subgroups) and
-``count_c`` (conjugacy classes = equivalence classes of coverings) read one n
-of a row, ``count_arrays`` every n <= N; the enumeration and classing
-machinery reproduces them constructively, and the test suite compares both
-against a brute-force coset-table search.
+Every closed form is one row of :data:`FORMS`, and every count is read from
+its row alone.  ``count_s`` (subgroups), ``count_c`` (conjugacy classes =
+equivalence classes of coverings) and ``normal_counts`` (normal subgroups)
+read one n; ``count_arrays`` and ``normal_arrays`` every n <= N.  The
+enumeration and classing machinery reproduces the subgroup and class counts
+constructively; ``verify`` compares them with the closed forms and with a
+brute-force coset-table search.  No other production path computes a count
+twice: the enumeration filters that recount the normal subgroups and the
+class-size splits are witnesses in the test suite.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ FORMS: dict[object, tuple] = {
     # Index-n sublattices of Z^2 / Z^3 fixed by one coordinate sign flip.
     "flip_fixed_2d": ((1, 0, SIGMA0), (1, 1, SIGMA0)),
     "flip_fixed_3d": ((1, 0, SIGMA2), (3, 1, SIGMA2)),
-    # Normal subgroups per type (see z3_normal_closed_form for the erratum):
+    # Normal subgroups per type (see normal_counts for the z3_normal erratum):
     # g2 has 3 at n = 2 mod 4 and 6 at n = 4 mod 8, g6 only the whole group.
     "z3_normal": ((1, 2, D3), (4, 3, D3), (1, 4, D3)),
     "g2_normal": ((3, 1, ONE), (3, 2, ONE), (-6, 3, ONE)),
@@ -140,6 +144,7 @@ FORMS["g1", "c"] = (_scaled(Fraction(1, 4), FORMS["g1", "s"])
 FORMS["g2", "c"] = _scaled(Fraction(3, 2), FORMS["g2_partial_total"] + FORMS["g2_partial_fixed"])
 
 _COUNT_KEYS = tuple((iso, kind) for kind in ("s", "c") for iso in ISO_TYPES)
+_NORMAL_ROWS = {"g1": "z3_normal", "g2": "g2_normal", "g6": "g6_normal"}
 
 
 def _known_iso(iso: str) -> str:
@@ -160,6 +165,22 @@ def count_s(iso: str, n: int) -> int:
 def count_c(iso: str, n: int) -> int:
     """Number of conjugacy classes of index-n subgroups (= coverings)."""
     return form_value(_count_form(iso, "c"), n)
+
+
+def normal_counts(n: int) -> tuple[int, int, int]:
+    """Normal index-n subgroups per type (g1, g2, g6): the *_normal rows of FORMS.
+
+    Erratum note: the published closed form for the g1 (Z^3) type carries an
+    extra 2 d3(n/32) term coming from two matrix families that are not in
+    fact normal (their basis vector x^(2f) y^2 z^2 conjugates to
+    x^(2f) y^-2 z^-2, which the lattice misses whenever the half-shift
+    structure forces 4 | exponent gaps).  The z3_normal row matches the
+    subgroups fixed by conjugation with each generator, and the singleton
+    classes of the oracle's coset tables (n <= 32, from the presentation
+    alone); the first divergence of the published form is n = 32 (39 vs the
+    actual 37).  Both witnesses live in the test suite.
+    """
+    return tuple(form_value(FORMS[row], n) for row in _NORMAL_ROWS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +409,6 @@ def conjugacy_classes(ds: Iterable[Descriptor]) -> list[list[Descriptor]]:
     return classes
 
 
-def is_normal(d: Descriptor) -> bool:
-    return all(conjugate_descriptor(d, g) == d for g in _CONJUGATORS)
-
-
 # ---------------------------------------------------------------------------
 # Class counts without full orbit closure
 # ---------------------------------------------------------------------------
@@ -467,109 +484,6 @@ def class_count(iso: str, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Orbit-size partitions and sign-flip-invariant sublattice counts
-# ---------------------------------------------------------------------------
-
-class Z3OrbitSplit(NamedTuple):
-    """Numbers of Z^3-type subgroups lying in classes of size 1, 2, 4."""
-
-    size1: int
-    size2: int
-    size4: int
-
-
-class PartialClassSplit(NamedTuple):
-    """Axis-x partial classes fixed / swapped by the outer conjugation."""
-
-    fixed: int
-    swapped: int
-
-
-def z3_normal_closed_form(n: int) -> int:
-    """Normal Z^3-type subgroups of index n: the ``z3_normal`` row of FORMS.
-
-    Erratum note: the published closed form carries an extra 2 d3(n/32)
-    term coming from two matrix families that are not in fact normal (their
-    basis vector x^(2f) y^2 z^2 conjugates to x^(2f) y^-2 z^-2, which the
-    lattice misses whenever the half-shift structure forces 4 | exponent
-    gaps).  The form used here matches the sign-flip-invariance filter, the
-    exact conjugation machinery, and the singleton classes of the oracle's
-    coset tables (n <= 32, from the presentation alone); the first divergence
-    of the published form is n = 32 (39 vs the actual 37).  See the test
-    suite for the recorded comparison.
-    """
-    return form_value(FORMS["z3_normal"], n)
-
-
-def z3_orbit_split(n: int) -> Z3OrbitSplit:
-    """Class-size partition of the Z^3-type subgroups, computed two ways."""
-    sizes = {1: 0, 2: 0, 4: 0}
-    for cls in conjugacy_classes(enumerate_z3(n)):
-        if len(cls) not in sizes:
-            raise CrossCheckError(f"impossible class size {len(cls)}")
-        sizes[len(cls)] += len(cls)
-    split = Z3OrbitSplit(sizes[1], sizes[2], sizes[4])
-
-    m1 = z3_normal_closed_form(n)
-    m2 = 3 * form_value(FORMS["z3_axis_fixed"], n) - 3 * m1
-    m4 = count_s("g1", n) - m1 - m2
-    if split != (m1, m2, m4):
-        raise CrossCheckError(
-            f"orbit split mismatch at n={n}: counted {split}, formulas {(m1, m2, m4)}"
-        )
-    return split
-
-
-def g2_partial_split(n: int) -> PartialClassSplit:
-    """Axis-x partial-class split, computed two ways and cross-checked."""
-    fixed, swapped = _g2_axis_partial_split(n)
-    k1 = form_value(FORMS["g2_partial_fixed"], n)
-    total = form_value(FORMS["g2_partial_total"], n)
-    if (fixed, swapped) != (k1, total - k1):
-        raise CrossCheckError(
-            f"partial split mismatch at n={n}: counted {(fixed, swapped)}, "
-            f"formulas {(k1, total - k1)}"
-        )
-    return PartialClassSplit(fixed, swapped)
-
-
-def flip_fixed_count_2d(n: int) -> int:
-    """Index-n sublattices of Z^2 fixed by (u, v) -> (u, -v), dual-route."""
-    counted = sum(1 for h in hnf2_all(n) if transform2(h, (1, -1)) == h)
-    formula = form_value(FORMS["flip_fixed_2d"], n)
-    if counted != formula:
-        raise CrossCheckError(f"2d flip count mismatch at n={n}: {counted} vs {formula}")
-    return counted
-
-
-def flip_fixed_count_3d(n: int) -> int:
-    """Index-n sublattices of Z^3 fixed by (u, v, w) -> (u, v, -w), dual-route."""
-    counted = sum(1 for h in hnf3_all(n) if transform3(h, (1, 1, -1)) == h)
-    formula = form_value(FORMS["flip_fixed_3d"], n)
-    if counted != formula:
-        raise CrossCheckError(f"3d flip count mismatch at n={n}: {counted} vs {formula}")
-    return counted
-
-
-def normal_counts(n: int) -> tuple[int, int, int]:
-    """Normal index-n subgroups per type (z3, g2, g6), dual-route.
-
-    Closed forms: the z3_normal, g2_normal and g6_normal rows of FORMS.  Each
-    value is re-derived by filtering the enumeration through is_normal.
-    """
-    formulas = tuple(form_value(FORMS[key], n) for key in ("z3_normal", "g2_normal", "g6_normal"))
-    z3_counted = sum(1 for d in enumerate_z3(n) if is_normal(d))
-    g2_counted = sum(1 for d in enumerate_g2(n) if is_normal(d))
-    g6_counted = sum(1 for d in enumerate_g6(n) if is_normal(d))
-    counted = (z3_counted, g2_counted, g6_counted)
-    if counted != formulas:
-        raise CrossCheckError(
-            f"normal count mismatch at n={n}: counted {counted}, formulas {formulas}"
-        )
-    return counted
-
-
-# ---------------------------------------------------------------------------
 # Series audit
 # ---------------------------------------------------------------------------
 
@@ -580,6 +494,16 @@ def count_arrays(N: int) -> dict[tuple[str, str], list[int]]:
     test suite checks it against the divisor sums of count_s / count_c.
     """
     return arith.form_values({key: FORMS[key] for key in _COUNT_KEYS}, N)
+
+
+def normal_arrays(N: int) -> dict[tuple[str, str], list[int]]:
+    """count_arrays plus the normal counts for all n <= N, keyed (type, "normal").
+
+    One form_values call, so the count and normal rows share their bases.
+    """
+    return arith.form_values({**{key: FORMS[key] for key in _COUNT_KEYS},
+                              **{(iso, "normal"): FORMS[row] for iso, row in _NORMAL_ROWS.items()}},
+                             N)
 
 
 def _first_divergence(a: list[int], b: list[int]) -> int | None:

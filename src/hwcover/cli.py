@@ -131,12 +131,9 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_normal(args) -> int:
-    rows = []
-    for n in range(1, args.max + 1):
-        normals = dict(zip(catalog.ISO_TYPES, catalog.normal_counts(n)))
-        for iso in catalog.ISO_TYPES:
-            rows.append([n, iso, catalog.count_s(iso, n), catalog.count_c(iso, n),
-                         normals[iso]])
+    arrays = catalog.normal_arrays(args.max)
+    rows = [[n, iso, *(arrays[iso, kind][n - 1] for kind in ("s", "c", "normal"))]
+            for n in range(1, args.max + 1) for iso in catalog.ISO_TYPES]
     _emit(_table_text(args.format, ["n", "type", "s", "c", "normal"], rows), args.out)
     return 0
 

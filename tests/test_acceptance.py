@@ -7,8 +7,17 @@ All checks are exact integer comparisons; there are no tolerances anywhere.
 import random
 from fractions import Fraction
 
-from hwcover import arith, catalog, oracle
+from hwcover import catalog, oracle
 from hwcover.group import E, LETTERS, RELATOR_WORDS, Element, eval_word
+from witnesses import (
+    filtered_normal_counts,
+    flip_fixed_count_3d,
+    g2_partial_split,
+    g2_partial_split_closed_form,
+    odd_factorization_identity_holds,
+    z3_orbit_split,
+    z3_orbit_split_closed_form,
+)
 
 ISO = ("g1", "g2", "g6")
 
@@ -18,14 +27,14 @@ def _verdict(number, ok, detail=""):
     assert ok, f"criterion {number}: {detail}"
 
 
-def test_criterion_1_three_way_agreement_up_to_16():
+def test_criterion_1_three_way_agreement_up_to_32():
     bad = []
-    for n in range(1, 17):
-        rep = oracle.cross_check(n, oracle_limit=16)
-        if not rep.all_match:
+    for n in range(1, 33):
+        rep = oracle.cross_check(n, oracle_limit=32)
+        if not rep.all_match or rep.tables_bijective is not True:
             bad.append(n)
     _verdict(1, not bad,
-             "oracle = closed forms = catalog (s and c, per type) for n <= 16"
+             "oracle = closed forms = catalog (s and c, per type) for n <= 32"
              + (f"; failures at {bad}" if bad else ""))
 
 
@@ -58,7 +67,7 @@ def test_criterion_3_spot_values():
         "s(4)": [catalog.count_s(t, 4) for t in ISO] == [0 + omega_1, 18, 0],
         "c(4)": [catalog.count_c(t, 4) for t in ISO] == [1, 12, 0],
         "s_g1(8)": catalog.count_s("g1", 8) == omega_2 == 7,
-        "split(8)": catalog.z3_orbit_split(8) == (7, 0, 0),
+        "split(8)": z3_orbit_split(8) == z3_orbit_split_closed_form(8) == (7, 0, 0),
         "s(3)": [catalog.count_s(t, 3) for t in ISO] == [0, 0, 9],
         "c(3)": [catalog.count_c(t, 3) for t in ISO] == [0, 0, 3],
         "s(15)": [catalog.count_s(t, 15) for t in ISO] == [0, 0, 15 * d3_15],
@@ -110,37 +119,44 @@ def test_criterion_4_group_arithmetic_at_scale():
 def test_criterion_5_normal_subgroup_counts_up_to_64():
     bad = []
     for n in range(1, 65):
-        try:
-            z3n, g2n, g6n = catalog.normal_counts(n)  # dual-route assert inside
-        except catalog.CrossCheckError as exc:
-            bad.append((n, str(exc)))
-            continue
+        _, g2n, g6n = closed = catalog.normal_counts(n)
+        if filtered_normal_counts(n) != closed:
+            bad.append((n, "is_normal filter"))
         piecewise = 3 if n % 4 == 2 else 6 if n % 8 == 4 else 0
         if g2n != piecewise or g6n != (1 if n == 1 else 0):
             bad.append((n, "piecewise"))
-        if z3n != catalog.z3_normal_closed_form(n):
-            bad.append((n, "z3 closed form"))
+        if n <= 32:
+            # a subgroup is normal exactly when its class has one member
+            by_type = {iso: [] for iso in ISO}
+            for t in oracle.low_index(n, search_limit=32):
+                by_type[oracle.stabilizer_type(t)].append(t)
+            singletons = tuple(sum(1 for cls in oracle.classes_of(by_type[iso]) if len(cls) == 1)
+                               for iso in ISO)
+            if singletons != closed:
+                bad.append((n, "singleton classes of the coset tables"))
     _verdict(5, not bad,
              "normal counts: closed forms equal is_normal-filtered enumerations "
-             "for n <= 64 (z3 closed form corrected; published extra 2*d3(n/32) "
-             "term fails the filter at n=32,64 - see ledger)"
+             "for n <= 64 and the singleton classes of the presentation's coset "
+             "tables for n <= 32 (z3 closed form corrected; published extra "
+             "2*d3(n/32) term fails the filter at n=32,64 and the tables at "
+             "n=32 - see ledger)"
              + (f"; failures {bad[:3]}" if bad else ""))
 
 
 def test_criterion_6_partition_identities_up_to_128():
     bad = []
     for n in range(1, 129):
-        try:
-            m1, m2, m4 = catalog.z3_orbit_split(n)
-            fixed, swapped = catalog.g2_partial_split(n)
-        except catalog.CrossCheckError as exc:
-            bad.append((n, str(exc)))
-            continue
+        m1, m2, m4 = z3_orbit_split(n)
+        fixed, swapped = g2_partial_split(n)
+        if (m1, m2, m4) != z3_orbit_split_closed_form(n):
+            bad.append((n, "orbit split"))
+        if (fixed, swapped) != g2_partial_split_closed_form(n):
+            bad.append((n, "partial split"))
         if m1 + m2 // 2 + m4 // 4 != catalog.count_c("g1", n):
             bad.append((n, "class-size identity"))
         if 3 * (fixed + swapped // 2) != catalog.count_c("g2", n):
             bad.append((n, "partial-class identity"))
-        if n % 4 == 0 and 3 * m1 + m2 != 3 * catalog.flip_fixed_count_3d(n // 4):
+        if n % 4 == 0 and 3 * m1 + m2 != 3 * flip_fixed_count_3d(n // 4):
             bad.append((n, "flip-fixed identity"))
         if catalog.count_s("g6", n) != n * catalog.count_c("g6", n):
             bad.append((n, "s = n*c"))
@@ -160,7 +176,7 @@ def test_criterion_7_series_audit():
         and "times 3" in g2s.get("note", "")
     row3 = report["row3_label"]
     definitive_row3 = row3["vs_g6_s"] == "match" and row3["vs_g1_s"].startswith("mismatch")
-    parity = all(arith.odd_factorization_identity_holds(n) for n in range(1, 10_001))
+    parity = all(odd_factorization_identity_holds(n) for n in range(1, 10_001))
     _verdict(7, ok and definitive_g2s and definitive_row3 and parity,
              "five series rows match for n <= 4096; (g2,s) recorded as mismatch@2 "
              "(x3), row-3 label recorded as the g6 subgroup series; "

@@ -19,7 +19,6 @@ from hwcover.arith import (
     form_value,
     form_values,
     gf_coeffs,
-    odd_factorization_identity_holds,
     omega,
     sigma0,
     sigma1,
@@ -28,6 +27,7 @@ from hwcover.arith import (
     zeta_coeffs,
     zeta_product,
 )
+from witnesses import odd_factorization_identity_holds
 
 
 # --- brute-force oracles: ordered factorizations, nothing clever -----------

@@ -22,22 +22,26 @@ from hwcover.catalog import (
     enumerate_index,
     enumerate_iso,
     enumerate_z3,
-    flip_fixed_count_2d,
-    flip_fixed_count_3d,
     from_json_dict,
-    g2_partial_split,
     generators,
     index_of,
-    is_normal,
     normal_counts,
     sort_key,
     to_json_dict,
-    z3_normal_closed_form,
-    z3_orbit_split,
 )
 from hwcover.cli import descriptor_from_csv_row
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTERS, Element, translation
 from hwcover.lattice import Hnf2, Hnf3
+from witnesses import (
+    filtered_normal_counts,
+    flip_fixed_count_2d,
+    flip_fixed_count_3d,
+    g2_partial_split,
+    g2_partial_split_closed_form,
+    is_normal,
+    z3_orbit_split,
+    z3_orbit_split_closed_form,
+)
 
 ISO = ("g1", "g2", "g6")
 
@@ -322,24 +326,26 @@ def test_mixed_index_rejected():
 # --- orbit splits and partition identities ----------------------------------------
 
 def test_z3_orbit_split_examples():
-    assert z3_orbit_split(8) == (7, 0, 0)
-    assert z3_orbit_split(4) == (1, 0, 0)
-    assert z3_orbit_split(2) == (0, 0, 0)
+    for n, split in ((8, (7, 0, 0)), (4, (1, 0, 0)), (2, (0, 0, 0))):
+        assert z3_orbit_split(n) == z3_orbit_split_closed_form(n) == split, n
 
 
 def test_g2_partial_split_examples():
-    assert g2_partial_split(2) == (1, 0)
+    assert g2_partial_split(2) == g2_partial_split_closed_form(2) == (1, 0)
     # at n=4 the six axis partial classes split 2 fixed + 4 swapped
     # (forced by the class identity 3*(fixed + swapped/2) = 12)
-    assert g2_partial_split(4) == (2, 4)
-    assert g2_partial_split(16) == (0, sigma2(8) + 2 * sigma2(4) - 3 * sigma2(2))
+    assert g2_partial_split(4) == g2_partial_split_closed_form(4) == (2, 4)
+    assert g2_partial_split(16) == g2_partial_split_closed_form(16) \
+        == (0, sigma2(8) + 2 * sigma2(4) - 3 * sigma2(2))
 
 
 def test_partition_identities():
     for n in range(1, 65):
         m1, m2, m4 = z3_orbit_split(n)
+        assert (m1, m2, m4) == z3_orbit_split_closed_form(n), n
         assert m1 + m2 // 2 + m4 // 4 == count_c("g1", n), n
         fixed, swapped = g2_partial_split(n)
+        assert (fixed, swapped) == g2_partial_split_closed_form(n), n
         assert 3 * (fixed + swapped // 2) == count_c("g2", n), n
         if n % 4 == 0:
             assert 3 * m1 + m2 == 3 * flip_fixed_count_3d(n // 4), n
@@ -351,8 +357,8 @@ def test_flip_fixed_counts():
     assert flip_fixed_count_2d(2) == sigma0(2) + sigma0(1) == 3
     assert flip_fixed_count_3d(2) == sigma2(2) + 3 * sigma2(1) == 7
     for n in range(1, 33):
-        flip_fixed_count_2d(n)  # dual-route assert inside
-        flip_fixed_count_3d(n)
+        assert flip_fixed_count_2d(n) == arith.form_value(catalog.FORMS["flip_fixed_2d"], n), n
+        assert flip_fixed_count_3d(n) == arith.form_value(catalog.FORMS["flip_fixed_3d"], n), n
 
 
 # --- normality ----------------------------------------------------------------------
@@ -366,16 +372,14 @@ def test_normality_examples():
 
 
 def test_normal_count_examples():
-    assert normal_counts(6) == (0, 3, 0)
-    assert normal_counts(12) == (3, 6, 0)
-    assert normal_counts(8) == (7, 0, 0)
-    assert normal_counts(1) == (0, 0, 1)
+    for n, counts in ((6, (0, 3, 0)), (12, (3, 6, 0)), (8, (7, 0, 0)), (1, (0, 0, 1))):
+        assert normal_counts(n) == filtered_normal_counts(n) == counts, n
 
 
 def test_normal_g2_piecewise_rule():
     for n in range(1, 49):
         expected = 3 if n % 4 == 2 else 6 if n % 8 == 4 else 0
-        assert normal_counts(n)[1] == expected, n
+        assert normal_counts(n)[1] == filtered_normal_counts(n)[1] == expected, n
 
 
 def test_published_z3_normal_form_diverges_at_32():
@@ -383,9 +387,10 @@ def test_published_z3_normal_form_diverges_at_32():
     # count (ground truth, also confirmed by the singleton classes of the
     # coset tables in test_oracle.py) does not
     for n in range(1, 65):
-        published = z3_normal_closed_form(n) + 2 * d3(Fraction(n, 32))
+        corrected = normal_counts(n)[0]
+        published = corrected + 2 * d3(Fraction(n, 32))
         actual = sum(1 for d in enumerate_z3(n) if is_normal(d))
-        assert actual == z3_normal_closed_form(n), n
+        assert actual == corrected, n
         if n in (32, 64):
             assert published == actual + 2 * d3(Fraction(n, 32)) > actual, n
         else:

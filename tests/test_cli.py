@@ -117,6 +117,16 @@ def test_series_bytes_pinned_at_4096(tmp_path, capsys):
     assert digest(path.read_bytes()) == "d2f2deb70c0eda7e92a25317d1a74cecb4a27e87bea0f052ebe667d9c00a1380"
 
 
+def test_normal_bytes_pinned(capsys):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    _, csv_out, _ = run_cli(capsys, "normal", "--max", "256")
+    _, json_out, _ = run_cli(capsys, "normal", "--max", "64", "--format", "json")
+    assert digest(csv_out) == "db0051bfd5b2647a5b6b4372ed3cabfaf9e710fe7b8b5f91d04bcd4a57a57784"
+    assert digest(json_out) == "15d178f134fcfa26cf4fee5abe732dba4a4fae8a1d94a782bd25940a889bb25d"
+
+
 def test_verify_ok(capsys):
     code, out, err = run_cli(capsys, "verify", "--max", "8", "--oracle-limit", "8")
     assert code == 0
@@ -171,13 +181,16 @@ def test_verify_mismatch_names_the_descriptor_whose_table_fails(capsys, monkeypa
     assert "closed early" not in out
 
 
-def test_verify_searches_no_deeper_than_max(capsys):
+def test_verify_searches_no_deeper_than_max(capsys, monkeypatch):
+    # record the search depths instead of clearing the shared search cache
     from hwcover import oracle
-    oracle._tables_up_to.cache_clear()
+    depths = []
+    search = oracle._tables_up_to
+    monkeypatch.setattr(oracle, "_tables_up_to", lambda limit: depths.append(limit) or search(limit))
     code, out, _ = run_cli(capsys, "verify", "--max", "6", "--oracle-limit", "48")
     assert code == 0
     assert out == run_cli(capsys, "verify", "--max", "6", "--oracle-limit", "6")[1]
-    assert oracle._tables_up_to.cache_info().currsize == 1  # one search, to depth 6
+    assert set(depths) == {6}  # one search, to depth 6
 
 
 def test_exit_code_2_on_bad_flags(capsys):
