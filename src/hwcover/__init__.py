@@ -35,11 +35,16 @@ from .catalog import (
     enumerate_z3,
     generators,
     index_of,
+    iter_g2,
+    iter_g6,
+    iter_index,
+    iter_iso,
+    iter_z3,
     normal_counts,
     series_report,
 )
 from .group import AffineIso, Element, GENERATORS, IDENTITY, eval_word, parse_word
-from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, hnf3_all, hnf3_of
+from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, hnf3_all, hnf3_of, iter_hnf3
 from .oracle import (
     CosetTable,
     canonical_table,

@@ -18,6 +18,14 @@ description, realized here by three descriptor records:
   by six parameters (k, l, m, u, v, w) with k, l, m odd, k*l*m = index,
   0 <= u < l, 0 <= v < m, 0 <= w < k.
 
+Each type's parametrisation is one loop, in a generator that yields its
+descriptors in canonical order: ``iter_z3``, ``iter_g2`` and ``iter_g6``,
+picked by ``iter_iso`` and chained by ``iter_index``.  A caller that only
+walks the descriptors, such as the ``enumerate`` command, holds one at a
+time.  ``enumerate_z3``, ``enumerate_g2``, ``enumerate_g6``,
+``enumerate_iso`` and ``enumerate_index`` are the same descriptors as
+lists, for callers that index, sample or take the length of them.
+
 Conjugation of descriptors is computed exactly by closed-form affine maps on
 the parameters; these formulas are the implementation.  The group arithmetic
 is their independent witness in the test suite, which conjugates generators
@@ -37,13 +45,14 @@ class-size splits are witnesses in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 from . import arith
 from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
                     form_value)
 from .group import E, GEN_X, GEN_Y, GEN_Z, SIGNS, Element
-from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, hnf3_all, transform2, transform3
+from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, iter_hnf3, transform2, transform3
 
 ISO_TYPES = ("g1", "g2", "g6")
 AXES = ("x", "y", "z")
@@ -191,45 +200,65 @@ def _odd_divisors(n: int) -> list[int]:
     return [d for d in divisors(n) if d % 2]
 
 
-def enumerate_z3(n: int) -> list[Z3Descriptor]:
-    """All index-n subgroups isomorphic to Z^3 (empty unless 4 | n)."""
+def iter_z3(n: int) -> Iterator[Z3Descriptor]:
+    """Every index-n subgroup isomorphic to Z^3 (none unless 4 | n), one at a time."""
     if n < 1 or n % 4:
-        return []
-    return [Z3Descriptor(h) for h in hnf3_all(n // 4)]
+        return
+    for h in iter_hnf3(n // 4):
+        yield Z3Descriptor(h)
 
 
-def enumerate_g2(n: int) -> list[G2Descriptor]:
-    """All index-n subgroups isomorphic to the dicosm group (n even only)."""
+def iter_g2(n: int) -> Iterator[G2Descriptor]:
+    """Every index-n subgroup isomorphic to the dicosm group (n even only)."""
     if n < 1 or n % 2:
-        return []
+        return
     q = n // 2
-    out = []
     for axis in AXES:
         for k in _odd_divisors(q):
             for lat in hnf2_all(q // k):
-                out.extend(
-                    G2Descriptor(axis, k, lat, s, t)
-                    for s in range(lat.b)
-                    for t in range(lat.a)
-                )
-    return out
+                for s in range(lat.b):
+                    for t in range(lat.a):
+                        yield G2Descriptor(axis, k, lat, s, t)
 
 
-def enumerate_g6(n: int) -> list[G6Descriptor]:
-    """All index-n subgroups isomorphic to the whole group (n odd only)."""
+def iter_g6(n: int) -> Iterator[G6Descriptor]:
+    """Every index-n subgroup isomorphic to the whole group (n odd only)."""
     if n < 1 or n % 2 == 0:
-        return []
-    out = []
+        return
     for k in _odd_divisors(n):
         for l in _odd_divisors(n // k):
             m = n // (k * l)
-            out.extend(
-                G6Descriptor(k, l, m, u, v, w)
-                for u in range(l)
-                for v in range(m)
-                for w in range(k)
-            )
-    return out
+            for u in range(l):
+                for v in range(m):
+                    for w in range(k):
+                        yield G6Descriptor(k, l, m, u, v, w)
+
+
+_ITERATORS = {"g1": iter_z3, "g2": iter_g2, "g6": iter_g6}
+
+
+def iter_iso(iso: str, n: int) -> Iterator[Descriptor]:
+    return _ITERATORS[_known_iso(iso)](n)
+
+
+def iter_index(n: int) -> Iterator[Descriptor]:
+    """Every index-n subgroup in sort_key order: z3 block first, then g2, then g6.
+
+    Every generator yields its parameters in increasing order, so no sort is needed.
+    """
+    return chain(iter_z3(n), iter_g2(n), iter_g6(n))
+
+
+def enumerate_z3(n: int) -> list[Z3Descriptor]:
+    return list(iter_z3(n))
+
+
+def enumerate_g2(n: int) -> list[G2Descriptor]:
+    return list(iter_g2(n))
+
+
+def enumerate_g6(n: int) -> list[G6Descriptor]:
+    return list(iter_g6(n))
 
 
 _ENUMERATORS = {"g1": enumerate_z3, "g2": enumerate_g2, "g6": enumerate_g6}
@@ -240,10 +269,7 @@ def enumerate_iso(iso: str, n: int) -> list[Descriptor]:
 
 
 def enumerate_index(n: int) -> list[Descriptor]:
-    """All index-n subgroups in sort_key order: z3 block first, then g2, then g6.
-
-    Every enumerator generates its parameters in increasing order, so no sort is needed.
-    """
+    """The list of iter_index(n), built from the three per-type lists."""
     return [*enumerate_z3(n), *enumerate_g2(n), *enumerate_g6(n)]
 
 

@@ -20,6 +20,8 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
+from itertools import islice
 from typing import Sequence
 
 from . import catalog, oracle
@@ -28,9 +30,19 @@ _CSV_FIELDS = ["type", "axis", "k", "l", "m", "u", "v", "w",
                "b", "c", "a", "e", "f", "d", "s", "t"]
 
 
+def _csv_row(d: catalog.Descriptor) -> tuple:
+    """The cells of d under _CSV_FIELDS; a field the type does not have is empty."""
+    if isinstance(d, catalog.Z3Descriptor):
+        lat = d.lattice
+        return ("z3", "", "", "", "", "", "", "", lat.b, lat.c, lat.a, lat.e, lat.f, lat.d, "", "")
+    if isinstance(d, catalog.G2Descriptor):
+        lat = d.lattice
+        return ("g2", d.axis, d.k, "", "", "", "", "", lat.b, lat.c, lat.a, "", "", "", d.s, d.t)
+    return ("g6", "", d.k, d.l, d.m, d.u, d.v, d.w, "", "", "", "", "", "", "", "")
+
+
 def _descriptor_csv_row(d: catalog.Descriptor) -> dict:
-    obj = catalog.to_json_dict(d)
-    return {key: obj.get(key, "") for key in _CSV_FIELDS}
+    return dict(zip(_CSV_FIELDS, _csv_row(d)))
 
 
 def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
@@ -38,13 +50,45 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict(obj)
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    """The header, then the rows streamed from any iterable."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(fh, header: Sequence[str], rows) -> int:
+    """Write the header, then the rows of any iterable as they come; return their number."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    count = 0
+    for row in rows:
+        writer.writerow(row)
+        count += 1
+    return count
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    _write_csv(buf, header, rows)
     return buf.getvalue()
+
+
+# Objects per json.dumps call in _write_json_list.  One call per object is
+# about twice as slow, and one call for the whole list holds all of its text.
+# The encoder holds about 1.6 kB of fragments per object of a chunk; 256
+# objects encode as fast as 1024 and peak at a third of their memory.
+_JSON_CHUNK = 256
+
+
+def _write_json_list(fh, objs) -> int:
+    """Write the bytes of _json_text(list(objs)), encoding a chunk of objects at a time.
+
+    json.dumps(indent=2) puts each item of a list on its own lines after
+    "[\n" and before "\n]", joined by ",\n", so the chunks' items are joined
+    the same way.  Returns the number of objects.
+    """
+    it = iter(objs)
+    count = 0
+    while chunk := list(islice(it, _JSON_CHUNK)):
+        fh.write(",\n" if count else "[\n")
+        fh.write(json.dumps(chunk, indent=2, sort_keys=True)[2:-2])
+        count += len(chunk)
+    fh.write("\n]\n" if count else "[]\n")
+    return count
 
 
 def _table_text(fmt: str, header: Sequence[str], rows) -> str:
@@ -54,16 +98,26 @@ def _table_text(fmt: str, header: Sequence[str], rows) -> str:
     return _csv_text(header, rows)
 
 
-def _emit(text: str, path: str | None) -> None:
+@contextmanager
+def _output(path: str | None):
+    """The output handle: stdout, or the file at path, opened once.
+
+    An I/O error on the file, from opening it to closing it, exits with code 2.
+    """
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _emit(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _json_text(obj) -> str:
@@ -87,15 +141,16 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.type:
-        ds = catalog.enumerate_iso(args.type, args.index)
+        ds = catalog.iter_iso(args.type, args.index)
     else:
-        ds = catalog.enumerate_index(args.index)
-    print(f"enumerate: index={args.index} type={args.type or 'all'} count={len(ds)}",
+        ds = catalog.iter_index(args.index)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            count = _write_json_list(fh, map(catalog.to_json_dict, ds))
+        else:
+            count = _write_csv(fh, _CSV_FIELDS, map(_csv_row, ds))
+    print(f"enumerate: index={args.index} type={args.type or 'all'} count={count}",
           file=sys.stderr)
-    if args.format == "json":
-        _emit(_json_text([catalog.to_json_dict(d) for d in ds]), args.out)
-    else:
-        _emit(_csv_text(_CSV_FIELDS, (_descriptor_csv_row(d).values() for d in ds)), args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ the diagonal entries, and the number of index-n sublattices is sigma1(n) in
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import divisors
 
@@ -83,17 +83,22 @@ def hnf2_all(n: int) -> list[Hnf2]:
     return [Hnf2(b, c, n // b) for b in divisors(n) for c in range(b)]
 
 
-def hnf3_all(n: int) -> list[Hnf3]:
-    """All index-n sublattices of Z^3, in increasing order; omega(n) of them.
+def iter_hnf3(n: int) -> Iterator[Hnf3]:
+    """Every index-n sublattice of Z^3, in increasing order; omega(n) of them.
 
     The loops run over the fields in their tuple order c, e, f, b, d.
     """
-    out = []
     for c in divisors(n):
         rest = n // c
         lower = [(b, d, rest // b) for b in divisors(rest) for d in range(b)]
-        out.extend(Hnf3(c, e, f, b, d, a) for e in range(c) for f in range(c) for b, d, a in lower)
-    return out
+        for e in range(c):
+            for f in range(c):
+                for b, d, a in lower:
+                    yield Hnf3(c, e, f, b, d, a)
+
+
+def hnf3_all(n: int) -> list[Hnf3]:
+    return list(iter_hnf3(n))
 
 
 def _hnf_columns(cols: Sequence[Sequence[int]], dim: int) -> list[list[int]]:

@@ -186,15 +186,20 @@ def _search(max_index: int) -> list[CosetTable]:
         for c, g in trail:
             table[c][g] = None
 
-    def first_gap() -> tuple[int, int] | None:
-        for c, row in enumerate(table):
-            for g in range(_COLS):
+    def first_gap(c0: int, g0: int) -> tuple[int, int] | None:
+        """The first empty entry at or after (c0, g0) in row-major order."""
+        for c in range(c0, len(table)):
+            row = table[c]
+            for g in range(g0 if c == c0 else 0, _COLS):
                 if row[g] is None:
                     return c, g
         return None
 
-    def extend() -> None:
-        gap = first_gap()
+    def extend(c: int, g: int) -> None:
+        # Every entry before the parent's gap (c, g) was filled in the parent,
+        # and a branch only fills entries (undo restores them on the way
+        # back), so the scan for the next gap resumes at (c, g).
+        gap = first_gap(c, g)
         if gap is None:
             results.append(CosetTable(
                 x=tuple(row[0] for row in table),
@@ -209,18 +214,18 @@ def _search(max_index: int) -> list[CosetTable]:
             trail: list[tuple[int, int]] = []
             set_entry(c, g, d, trail)
             if propagate([(c, g)], trail):
-                extend()
+                extend(c, g)
             undo(trail)
         if len(table) < max_index:
             table.append([None] * _COLS)
             trail = []
             set_entry(c, g, len(table) - 1, trail)
             if propagate([(c, g)], trail):
-                extend()
+                extend(c, g)
             undo(trail)
             table.pop()
 
-    extend()
+    extend(0, 0)
     return results
 
 

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import io
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -61,6 +63,10 @@ def test_enumerate_empty(capsys):
     assert code == 0
     assert json.loads(out) == []
     assert "count=0" in err
+    code, out, err = run_cli(capsys, "enumerate", "--index", "5", "--type", "g1")
+    assert code == 0
+    assert out == "type,axis,k,l,m,u,v,w,b,c,a,e,f,d,s,t\n"
+    assert err == "enumerate: index=5 type=g1 count=0\n"
 
 
 def test_classes_csv(capsys):
@@ -125,6 +131,61 @@ def test_normal_bytes_pinned(capsys):
     _, json_out, _ = run_cli(capsys, "normal", "--max", "64", "--format", "json")
     assert digest(csv_out) == "db0051bfd5b2647a5b6b4372ed3cabfaf9e710fe7b8b5f91d04bcd4a57a57784"
     assert digest(json_out) == "15d178f134fcfa26cf4fee5abe732dba4a4fae8a1d94a782bd25940a889bb25d"
+
+
+def test_enumerate_bytes_pinned(tmp_path, capsys):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    pinned = {
+        ("--index", "96"):
+            "91548c4a1694f90789fe19723c94cd8357edf05fc7f2358b576a0a0d524aa9c4",
+        ("--index", "45", "--type", "g6"):
+            "7b53671cb233a86846365767abb6545f97d8ccfe90b8cda5a299e54e5094375b",
+        ("--index", "48", "--format", "json"):
+            "b355a3965fc185ce7c70c9b7d1180cf5b45532c6bf9f15f91ab28797c10a41e4",
+        ("--index", "27", "--format", "json"):
+            "04576e06813b7052e92e37cc0dffa82850d84a73e1564283d0eea58c57204be4",
+    }
+    path = tmp_path / "rows.txt"
+    for argv, expected in pinned.items():
+        _, out, _ = run_cli(capsys, "enumerate", *argv)
+        assert digest(out) == expected, argv
+        code, to_file, _ = run_cli(capsys, "enumerate", *argv, "--out", str(path))
+        assert code == 0 and to_file == ""
+        assert path.read_text(encoding="utf-8") == out, argv
+
+
+class _HashSink:
+    """Text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_streams_in_bounded_memory(fmt, capsys, monkeypatch):
+    # 21,359 rows: 0.57 MB of CSV and 2.5 MB of JSON text.  Building the whole
+    # output before writing it peaks at 4.5 MB (CSV) and 36.7 MB (JSON).
+    _, expected, _ = run_cli(capsys, "enumerate", "--index", "96", "--format", fmt)
+    sink = _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--index", "96", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_verify_ok(capsys):
@@ -212,6 +273,16 @@ def test_exit_code_2_on_unwritable_path(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "2", "--out", "/nonexistent-dir/x.csv"])
     assert exc.value.code == 2
+    for fmt in ("csv", "json"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--index", "8", "--format", fmt,
+                  "--out", "/nonexistent-dir/x.csv"])
+        assert exc.value.code == 2
+        # the error comes before any row is produced, and no count line follows
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /nonexistent-dir/x.csv: ")
+        assert "count=" not in err
 
 
 def test_output_is_deterministic(capsys):
