@@ -35,6 +35,7 @@ from .catalog import (
     enumerate_z3,
     generators,
     index_of,
+    iter_classes,
     iter_g2,
     iter_g6,
     iter_index,

@@ -31,6 +31,15 @@ the parameters; these formulas are the implementation.  The group arithmetic
 is their independent witness in the test suite, which conjugates generators
 and checks that they land in the computed image of the same index.
 
+Conjugacy classes have one enumerator, ``iter_classes``: it yields
+(representative, size) per class, type by type, in the order of the least
+members, which are the representatives.  It finds each class from its
+representative and keeps nothing between classes, so it never lists the
+subgroups.  The ``classes`` command and ``class_count`` read it.
+``conjugacy_classes`` is the generic orbit closure over a set of
+descriptors; the test suite compares the two, and ``classes`` reads the
+members of a class from the closure of its representative.
+
 Every closed form is one row of :data:`FORMS`, and every count is read from
 its row alone.  ``count_s`` (subgroups), ``count_c`` (conjugacy classes =
 equivalence classes of coverings) and ``normal_counts`` (normal subgroups)
@@ -46,13 +55,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from . import arith
 from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
                     form_value)
 from .group import E, GEN_X, GEN_Y, GEN_Z, SIGNS, Element
-from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, iter_hnf3, transform2, transform3
+from .lattice import Hnf2, Hnf3, hnf2_all, iter_hnf3, transform2, transform3
 
 ISO_TYPES = ("g1", "g2", "g6")
 AXES = ("x", "y", "z")
@@ -408,7 +418,9 @@ def conjugacy_classes(ds: Iterable[Descriptor]) -> list[list[Descriptor]]:
 
     Orbit closure under conjugation by the three generators; this equals
     closure under the whole group because each generator acts with finite
-    order on the (finitely many) parameters.
+    order on the (finitely many) parameters.  iter_classes walks the classes
+    without it; this generic closure is its witness in the test suite, and
+    gives the members of one class from its representative.
     """
     ds = sorted(set(ds), key=sort_key)
     if not ds:
@@ -436,77 +448,103 @@ def conjugacy_classes(ds: Iterable[Descriptor]) -> list[list[Descriptor]]:
 
 
 # ---------------------------------------------------------------------------
-# Class counts without full orbit closure
+# Conjugacy classes from their canonical representatives
 # ---------------------------------------------------------------------------
 
-class CrossCheckError(AssertionError):
-    """Two supposedly-equal internal computations disagreed."""
+Class = tuple[Descriptor, int]  # (least member, number of members)
+
+
+def _z3_classes(n: int) -> Iterator[Class]:
+    """Translations act trivially on a lattice, the letters by their sign flips.
+
+    So a class is the at most 4 sign-flip images of a lattice, and it is
+    yielded at its least member.
+    """
+    for d in iter_z3(n):
+        images = {d.lattice, *(transform3(d.lattice, SIGNS[letter]) for letter in AXES)}
+        if min(images) == d.lattice:
+            yield d, len(images)
 
 
 def _g2_key_lattice(lat: Hnf2) -> Hnf2:
-    """The lattice <H, (2,0), (0,2)> whose cosets label partial classes."""
-    return hnf2_of(lat.columns() + ((2, 0), (0, 2)))
+    """The lattice K = <H, (2,0), (0,2)> whose cosets label partial classes.
+
+    With a odd, (c, a) reduces to (c, 1) mod (0, 2); with a even, to (c, 0).
+    """
+    if lat.a % 2:
+        b = gcd(lat.b, 2)
+        return Hnf2(b, lat.c % b, 1)
+    return Hnf2(gcd(lat.b, lat.c, 2), 0, 2)
 
 
-def _g2_axis_partial_split(n: int) -> tuple[int, int]:
-    """Partial conjugacy classes of axis-x subgroups at index n.
+def _g2_class_pairs(d: G2Descriptor, key: Hnf2) -> set[tuple[Hnf2, tuple[int, int]]]:
+    """The (lattice, K-coset) pairs that the class of d covers.
 
-    A partial class is an orbit under conjugation by Gamma_x only; it is
-    labeled by (k, H, h mod <H, (2,0), (0,2)>).  Returns (fixed, swapped):
-    the numbers of partial classes that are fixed / not fixed by the outer
-    conjugation by y.  Whole-group classes then number fixed + swapped/2.
+    Conjugation by a translation moves (s, t) by a vector of 2Z^2 and so fixes
+    the pair: the group acts on the pairs through its quotient by the
+    translations, {1, x, y, z}.  The flipped lattice has the same K, as K
+    contains 2Z^2 and a sign flip fixes Z^2 / 2Z^2.
+    """
+    return {(c.lattice, key.reduce_coset(c.s, c.t))
+            for c in (d, *(conjugate_descriptor(d, g) for g in _CONJUGATORS))}
+
+
+def _g2_classes(n: int) -> Iterator[Class]:
+    """A class lies on one (axis, k) and on the plane lattices H and its flip H'.
+
+    It is yielded with the lesser of H and H', from its least coset
+    representative there.  Every K-coset holds [K : H] cosets of H, and its
+    least member has s, t < 2, since K contains 2Z^2.
     """
     if n < 1 or n % 2:
-        return 0, 0
+        return
     q = n // 2
-    fixed = swapped = 0
-    for k in _odd_divisors(q):
-        for lat in hnf2_all(q // k):
-            key = _g2_key_lattice(lat)
-            if transform2(lat, (1, -1)) != lat:
-                swapped += key.index
-                continue
-            for s in range(key.b):
-                for t in range(key.a):
-                    d = G2Descriptor("x", k, lat, *lat.reduce_coset(s, t))
-                    d2 = conjugate_descriptor(d, GEN_Y)
-                    if d2.lattice != lat:
-                        raise CrossCheckError("plane lattice not y-stable after all")
-                    if key.reduce_coset(d2.s, d2.t) == key.reduce_coset(s, t):
-                        fixed += 1
-                    else:
-                        swapped += 1
-    if swapped % 2:
-        raise CrossCheckError("unpaired swapped partial classes")
-    return fixed, swapped
+    for axis in AXES:
+        for k in _odd_divisors(q):
+            for lat in hnf2_all(q // k):
+                if transform2(lat, (1, -1)) < lat:
+                    continue
+                key = _g2_key_lattice(lat)
+                least: dict[tuple[int, int], tuple[int, int]] = {}
+                for s in range(min(lat.b, 2)):
+                    for t in range(min(lat.a, 2)):
+                        least.setdefault(key.reduce_coset(s, t), (s, t))
+                done: set[tuple[int, int]] = set()
+                for coset, (s, t) in least.items():
+                    if coset in done:
+                        continue
+                    rep = G2Descriptor(axis, k, lat, s, t)
+                    pairs = _g2_class_pairs(rep, key)
+                    done.update(c for h, c in pairs if h == lat)
+                    yield rep, len(pairs) * (lat.index // key.index)
+
+
+def _g6_classes(n: int) -> Iterator[Class]:
+    """One class per (k, l, m): conjugation reaches every (u, v, w)."""
+    if n < 1 or n % 2 == 0:
+        return
+    for k in _odd_divisors(n):
+        for l in _odd_divisors(n // k):
+            yield G6Descriptor(k, l, n // (k * l), 0, 0, 0), n
+
+
+_CLASS_ITERATORS = {"g1": _z3_classes, "g2": _g2_classes, "g6": _g6_classes}
+
+
+def iter_classes(n: int, iso: str | None = None) -> Iterator[Class]:
+    """(representative, size) of every class of index-n subgroups, one at a time.
+
+    Type by type (or of one type), classes in the order of their least
+    members, each represented by that least member.  Between two classes
+    nothing is kept, so memory does not grow with the number of subgroups.
+    """
+    isos = ISO_TYPES if iso is None else (_known_iso(iso),)
+    return chain.from_iterable(_CLASS_ITERATORS[t](n) for t in isos)
 
 
 def class_count(iso: str, n: int) -> int:
-    """Conjugacy classes of index-n subgroups, computed constructively.
-
-    Uses per-type structure instead of generic orbit closure so that the
-    full range of the acceptance checks stays fast; agreement with
-    conjugacy_classes and with count_c is asserted by the test suite.
-    """
-    if _known_iso(iso) == "g1":
-        ds = enumerate_z3(n)
-        if not ds:
-            return 0
-        # Burnside over the Klein four-group acting by coordinate sign flips.
-        total = len(ds)
-        for letter in AXES:
-            signs = SIGNS[letter]
-            total += sum(1 for d in ds if transform3(d.lattice, signs) == d.lattice)
-        if total % 4:
-            raise CrossCheckError("Burnside sum not divisible by 4")
-        return total // 4
-    if iso == "g2":
-        fixed, swapped = _g2_axis_partial_split(n)
-        return 3 * (fixed + swapped // 2)
-    # g6: one class per (k, l, m), the conjugates differing only in (u, v, w)
-    if n < 1 or n % 2 == 0:
-        return 0
-    return sum(1 for k in _odd_divisors(n) for l in _odd_divisors(n // k))
+    """Conjugacy classes of index-n subgroups: the classes iter_classes yields."""
+    return sum(1 for _ in iter_classes(n, iso))
 
 
 # ---------------------------------------------------------------------------

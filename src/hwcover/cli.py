@@ -155,33 +155,26 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    if args.type:
-        ds = catalog.enumerate_iso(args.type, args.index)
-    else:
-        ds = catalog.enumerate_index(args.index)
-    classes = []
-    for iso in catalog.ISO_TYPES:
-        members = [d for d in ds if catalog.iso_of(d) == iso]
-        classes.extend(catalog.conjugacy_classes(members))
+    classes = catalog.iter_classes(args.index, args.type)
     if args.format == "json":
+        # the class count precedes the classes, so the JSON is built whole
         payload = [
             {
-                "type": catalog.iso_of(cls[0]),
-                "size": len(cls),
-                "representative": catalog.to_json_dict(cls[0]),
-                "members": [catalog.to_json_dict(d) for d in cls],
+                "type": catalog.iso_of(rep),
+                "size": size,
+                "representative": catalog.to_json_dict(rep),
+                "members": [catalog.to_json_dict(d) for d in catalog.conjugacy_classes([rep])[0]],
             }
-            for cls in classes
+            for rep, size in classes
         ]
-        _emit(_json_text({"index": args.index, "class_count": len(classes),
+        _emit(_json_text({"index": args.index, "class_count": len(payload),
                           "classes": payload}), args.out)
     else:
-        rows = [
-            [args.index, catalog.iso_of(cls[0]), len(cls),
-             json.dumps(catalog.to_json_dict(cls[0]), sort_keys=True)]
-            for cls in classes
-        ]
-        _emit(_csv_text(["n", "type", "size", "representative"], rows), args.out)
+        rows = ([args.index, catalog.iso_of(rep), size,
+                 json.dumps(catalog.to_json_dict(rep), sort_keys=True)]
+                for rep, size in classes)
+        with _output(args.out) as fh:
+            _write_csv(fh, ["n", "type", "size", "representative"], rows)
     return 0
 
 

@@ -25,6 +25,7 @@ from hwcover.catalog import (
     from_json_dict,
     generators,
     index_of,
+    iter_classes,
     normal_counts,
     sort_key,
     to_json_dict,
@@ -104,7 +105,7 @@ def test_enumerations_are_generated_in_canonical_order():
 
 
 def test_degenerate_indices_give_empty_lists_never_errors():
-    for fn in (enumerate_z3, enumerate_g2, enumerate_g6):
+    for fn in (enumerate_z3, enumerate_g2, enumerate_g6, lambda n: list(iter_classes(n))):
         assert fn(0) == []
         assert fn(-4) == []
 
@@ -122,8 +123,9 @@ def test_unknown_iso_tag_rejected():
     lambda: count_s("g7", 4),
     lambda: class_count("g7", 4),
     lambda: enumerate_iso("g7", 4),
+    lambda: iter_classes(4, "g7"),
     lambda: arith.gf_coeffs("g7", "s", 4),
-], ids=["count_s", "class_count", "enumerate_iso", "gf_coeffs"])
+], ids=["count_s", "class_count", "enumerate_iso", "iter_classes", "gf_coeffs"])
 def test_unknown_type_raises_value_error_naming_it(call):
     with pytest.raises(ValueError, match="unknown isomorphism type 'g7'"):
         call()
@@ -283,8 +285,10 @@ def test_same_triple_means_conjugate():
 def test_class_count_agrees_with_closure_and_closed_form():
     for n in range(1, 65):
         for iso in ISO:
-            closure = len(conjugacy_classes(catalog.enumerate_iso(iso, n)))
-            assert class_count(iso, n) == closure == count_c(iso, n), (n, iso)
+            closure = conjugacy_classes(catalog.enumerate_iso(iso, n))
+            assert list(iter_classes(n, iso)) == [(cls[0], len(cls)) for cls in closure], (n, iso)
+            assert class_count(iso, n) == len(closure) == count_c(iso, n), (n, iso)
+        assert list(iter_classes(n)) == [c for iso in ISO for c in iter_classes(n, iso)], n
 
 
 def test_partial_class_keys_match_true_orbit_closure():
@@ -316,6 +320,15 @@ def test_partial_class_keys_match_true_orbit_closure():
             key_lat = _g2_key_lattice(d.lattice)
             buckets[d.k, d.lattice, key_lat.reduce_coset(d.s, d.t)].add(d)
         assert sorted(map(sorted, orbits)) == sorted(map(sorted, buckets.values())), n
+
+
+def test_key_lattice_is_the_hnf_of_h_and_2z2():
+    from hwcover.catalog import _g2_key_lattice
+    from hwcover.lattice import hnf2_all, hnf2_of
+
+    for n in range(1, 65):
+        for lat in hnf2_all(n):
+            assert _g2_key_lattice(lat) == hnf2_of(lat.columns() + ((2, 0), (0, 2))), lat
 
 
 def test_mixed_index_rejected():

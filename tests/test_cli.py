@@ -78,6 +78,37 @@ def test_classes_csv(capsys):
     assert rep["type"] == "g6"
 
 
+def test_classes_bytes_pinned(tmp_path, capsys):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    pinned = {
+        ("--index", "104"):
+            "11b4f67e2151e9e27540ab7d108e8136728358c6f0fbc86a2581bb39fbf49100",
+        ("--index", "275"):
+            "cd3ae8fbf07071f9c3a8bd72b8a28fbf3de0284f02c13931cb1eedb8a4f43119",
+        ("--index", "105"):
+            "ad898207af0ea49701151a79ea18d8ba75dc57d902c578fc804f4ab4b2b02fb0",
+        ("--index", "96", "--type", "g2"):
+            "23d09d4e5250cc71ba9cbaa3baf844853041b0970e49dca834630fa20e3c3a48",
+        ("--index", "96", "--type", "g1"):
+            "e433c5b26cbd75ba372422df0072ff71675d1801e1dbf84044d7cb94a8e370b6",
+        ("--index", "48", "--format", "json"):
+            "5f3d25309136b727df58603be63fa8a87270593d6df0a355e249aa8f31d40d9e",
+        ("--index", "45", "--format", "json"):
+            "fa00849a5f4a5e946ae4e3a57d741f223a4d1ecbfa2db742b4ce54d2a7d49f79",
+        ("--index", "64", "--type", "g2", "--format", "json"):
+            "0e4d1ac16140dddda8511dcb4776385b64b4da3fbad21caba550ca1406450b2a",
+    }
+    path = tmp_path / "classes.txt"
+    for argv, expected in pinned.items():
+        _, out, _ = run_cli(capsys, "classes", *argv)
+        assert digest(out) == expected, argv
+        code, to_file, _ = run_cli(capsys, "classes", *argv, "--out", str(path))
+        assert code == 0 and to_file == ""
+        assert path.read_text(encoding="utf-8") == out, argv
+
+
 def test_normal_summary(capsys):
     code, out, _ = run_cli(capsys, "normal", "--max", "12")
     rows = {(int(r["n"]), r["type"]): r for r in csv.DictReader(io.StringIO(out))}
@@ -188,6 +219,23 @@ def test_enumerate_streams_in_bounded_memory(fmt, capsys, monkeypatch):
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_classes_streams_in_bounded_memory(capsys, monkeypatch):
+    # 108,715 subgroups in 4,108 classes (0.39 MB of CSV).  Listing every
+    # subgroup and closing orbits over one set of them peaks at 33 MB.
+    _, expected, _ = run_cli(capsys, "classes", "--index", "256")
+    sink = _HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["classes", "--index", "256"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_verify_ok(capsys):
     code, out, err = run_cli(capsys, "verify", "--max", "8", "--oracle-limit", "8")
     assert code == 0
@@ -283,6 +331,13 @@ def test_exit_code_2_on_unwritable_path(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write /nonexistent-dir/x.csv: ")
         assert "count=" not in err
+        with pytest.raises(SystemExit) as exc:
+            main(["classes", "--index", "8", "--format", fmt,
+                  "--out", "/nonexistent-dir/x.csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: cannot write /nonexistent-dir/x.csv: ")
+        assert out == ""
 
 
 def test_output_is_deterministic(capsys):

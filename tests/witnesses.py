@@ -10,9 +10,9 @@ routes.  Each returns what it counted and checks nothing itself; the
 from typing import NamedTuple
 
 from hwcover import catalog
-from hwcover.arith import d3, d3_alternating, form_value
+from hwcover.arith import d3, d3_alternating, divisors, form_value
 from hwcover.group import GEN_X, GEN_Y, GEN_Z
-from hwcover.lattice import hnf2_all, hnf3_all, transform2, transform3
+from hwcover.lattice import hnf2_all, hnf2_of, hnf3_all, transform2, transform3
 
 
 def is_normal(d: catalog.Descriptor) -> bool:
@@ -62,8 +62,29 @@ class PartialClassSplit(NamedTuple):
 
 
 def g2_partial_split(n: int) -> PartialClassSplit:
-    """The axis-x partial-class split that class_count counts constructively."""
-    return PartialClassSplit(*catalog._g2_axis_partial_split(n))
+    """Partial conjugacy classes of axis-x subgroups at index n, fixed and swapped.
+
+    A partial class is an orbit under conjugation by Gamma_x only; it is
+    labeled by (k, H, h mod K) with K = <H, (2,0), (0,2)>.  It is fixed when
+    conjugation by y lands in the same label.  Whole-group classes then
+    number fixed + swapped/2 per axis.
+    """
+    if n < 1 or n % 2:
+        return PartialClassSplit(0, 0)
+    q = n // 2
+    fixed = swapped = 0
+    for k in (d for d in divisors(q) if d % 2):
+        for lat in hnf2_all(q // k):
+            key = hnf2_of(lat.columns() + ((2, 0), (0, 2)))
+            for s in range(key.b):
+                for t in range(key.a):
+                    d = catalog.G2Descriptor("x", k, lat, *lat.reduce_coset(s, t))
+                    d2 = catalog.conjugate_descriptor(d, GEN_Y)
+                    if (d2.lattice, key.reduce_coset(d2.s, d2.t)) == (lat, (s, t)):
+                        fixed += 1
+                    else:
+                        swapped += 1
+    return PartialClassSplit(fixed, swapped)
 
 
 def g2_partial_split_closed_form(n: int) -> PartialClassSplit:
