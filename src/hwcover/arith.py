@@ -1,39 +1,27 @@
-"""Divisor-sum arithmetic and exact Dirichlet-series coefficients.
+"""Euler products: exact Dirichlet-series coefficients, for all n <= N or one n.
 
-All five counting functions follow the vanishing convention: the value is 0
-whenever the argument is not a positive integer, so expressions like
-``omega(Fraction(n, 4))`` can be written without case splits.
-
-A Dirichlet series sum f(n) n^-s is represented by its first N coefficients,
-a plain list indexed n - 1; multiplying series corresponds to Dirichlet
-convolution of the coefficient lists, and a power 2^-ks shifts coefficient n
-to 2^k n.
-
-A closed form is a tuple of terms (coefficient, k, base), meaning
-coefficient * base(n / 2^k); a base is a product of zeta(s - j) named by its
-shifts j.  :func:`form_value` evaluates one n, :func:`form_values` all n <= N;
-the latter is the one series evaluator, for the closed forms and for the
-product forms of :data:`GF_TABLE` alike (:func:`table_form`).
+A base, the product of zeta(s - j) over its shifts j, is multiplicative: at
+p^e it is the local factor h_e(p^j, ...), the complete homogeneous symmetric
+polynomial (Bell series; Apostol, *Introduction to Analytic Number Theory*, ch. 2).
+:func:`zeta_product` sieves it for n <= N and :func:`form_value` reads it at
+one factored n; the generic Dirichlet product :func:`convolve` is the tests'
+witness.  A closed form is a tuple of terms (c, k, base), c * base(n / 2^k),
+0 off the positive integers; :func:`form_values` evaluates FORMS and GF_TABLE.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 Rational = int | Fraction
 
-
-def _as_positive_int(n: Rational) -> int | None:
-    """n as a positive int, or None under the vanishing convention."""
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            return None
-        n = n.numerator
-    if n < 1:
-        return None
-    return int(n)
+# Bases of the closed forms, by their zeta shifts.
+DELTA, ONE, SIGMA0, D3, SIGMA2 = (), (0,), (0, 0), (0, 0, 0), (0, 0, 1)
+OMEGA, N_D3 = (0, 1, 2), (1, 1, 1)
+# d3(n) - 3 d3(n/2) + 3 d3(n/4) - d3(n/8), the Dirichlet series (1 - 2^-s)^3 zeta^3(s).
+D3_ALTERNATING = ((1, 0, D3), (-3, 1, D3), (3, 2, D3), (-1, 3, D3))
 
 
 def divisors(n: int) -> list[int]:
@@ -49,62 +37,64 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def local_factors(shifts: Sequence[int], p: int, E: int) -> list[int]:
+    """h_0..h_E of the p^j, j in shifts: the base's coefficients at 1, p, ..., p^E."""
+    h = [1] + [0] * E
+    for j in shifts:  # times 1 / (1 - p^j x): a prefix sum weighted by p^j
+        q = p ** j
+        for e in range(1, E + 1):
+            h[e] += q * h[e - 1]
+    return h
+
+
+def form_value(form: Sequence[tuple], n: Rational) -> int:
+    """The closed form at n from its Euler products; a fractional total raises.
+
+    n is factored once; each base's odd-prime factor serves all its terms, and
+    each term (c, k, base) takes the 2-adic local factor at e2 - k.
+    """
+    if Fraction(n).denominator != 1 or n < 1:
+        return 0
+    m = int(n)
+    e2 = (m & -m).bit_length() - 1
+    m, odd, p = m >> e2, {}, 3
+    while p * p <= m:
+        while m % p == 0:
+            odd[p], m = odd.get(p, 0) + 1, m // p
+        p += 2
+    if m > 1:
+        odd[m] = 1
+    two = {b: local_factors(b, 2, e2) for b in {base for _, _, base in form}}
+    odd_part = {b: prod(local_factors(b, p, e)[e] for p, e in odd.items()) for b in two}
+    val = Fraction(sum(c * odd_part[b] * two[b][e2 - k] for c, k, b in form if k <= e2))
+    if val.denominator != 1:
+        raise ArithmeticError(f"closed form is fractional at n={n}: {val}")
+    return val.numerator
+
+
 def sigma0(n: Rational) -> int:
     """Number of ordered factorizations n = a*b (the divisor count)."""
-    m = _as_positive_int(n)
-    if m is None:
-        return 0
-    return len(divisors(m))
+    return form_value(((1, 0, SIGMA0),), n)
 
 
 def sigma1(n: Rational) -> int:
     """Sum of divisors of n."""
-    m = _as_positive_int(n)
-    if m is None:
-        return 0
-    return sum(divisors(m))
+    return form_value(((1, 0, (0, 1)),), n)
 
 
 def sigma2(n: Rational) -> int:
     """sum over a*b = n of sigma1(a), equivalently sum over a*b*c = n of a."""
-    m = _as_positive_int(n)
-    if m is None:
-        return 0
-    return sum(sigma1(d) for d in divisors(m))
+    return form_value(((1, 0, SIGMA2),), n)
 
 
 def d3(n: Rational) -> int:
     """Number of ordered factorizations n = a*b*c."""
-    m = _as_positive_int(n)
-    if m is None:
-        return 0
-    return sum(sigma0(d) for d in divisors(m))
+    return form_value(((1, 0, D3),), n)
 
 
 def omega(n: Rational) -> int:
     """sum over a*b*c = n of a^2 b, the 3-dimensional sublattice count."""
-    m = _as_positive_int(n)
-    if m is None:
-        return 0
-    return sum(d * sigma1(d) for d in divisors(m))
-
-
-# Bases of the closed forms, by their zeta shifts, and their values at one n.
-DELTA, ONE, SIGMA0, D3, SIGMA2 = (), (0,), (0, 0), (0, 0, 0), (0, 0, 1)
-OMEGA, N_D3 = (0, 1, 2), (1, 1, 1)
-BASES = {DELTA: lambda n: int(n == 1), ONE: lambda n: int(_as_positive_int(n) is not None),
-         SIGMA0: sigma0, D3: d3, SIGMA2: sigma2, OMEGA: omega, N_D3: lambda n: n * d3(n)}
-
-# d3(n) - 3 d3(n/2) + 3 d3(n/4) - d3(n/8), the Dirichlet series (1 - 2^-s)^3 zeta^3(s).
-D3_ALTERNATING = ((1, 0, D3), (-3, 1, D3), (3, 2, D3), (-1, 3, D3))
-
-
-def form_value(form: Sequence[tuple], n: Rational) -> int:
-    """The closed form at n through the divisor sums; a fractional total raises."""
-    val = Fraction(sum(c * BASES[base](Fraction(n, 1 << k)) for c, k, base in form))
-    if val.denominator != 1:
-        raise ArithmeticError(f"closed form is fractional at n={n}: {val}")
-    return val.numerator
+    return form_value(((1, 0, OMEGA),), n)
 
 
 def d3_alternating(n: Rational) -> int:
@@ -129,11 +119,25 @@ def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
 
 def zeta_product(shifts: Sequence[int], N: int) -> list[int]:
-    """Convolution of zeta(s - shift) factors; empty product is delta."""
-    out = [int(n == 1) for n in range(1, N + 1)]
-    for sh in shifts:
-        out = convolve(out, zeta_coeffs(sh, N))
-    return out
+    """Coefficients 1..N of the product of zeta(s - j), j in shifts; () is delta.
+
+    A prime-power sieve: each p^e <= N multiplies by h_e the n it divides exactly.
+    """
+    out, composite = [1] * (N + 1), bytearray(N + 1)
+    for p in range(2, N + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = b"\1" * len(range(p * p, N + 1, p))
+        E = 1
+        while p ** (E + 1) <= N:
+            E += 1
+        h, pe = local_factors(shifts, p, E), p
+        for e in range(1, E):  # the n = p^e (r + p t) for r = 1 .. p - 1
+            for r in range(pe, pe * p, pe):
+                out[r::pe * p] = [v * h[e] for v in out[r::pe * p]]
+            pe *= p
+        out[pe::pe] = [v * h[E] for v in out[pe::pe]]  # no multiple of p^(E+1) is <= N
+    return out[1:]
 
 
 def form_values(forms: dict, N: int) -> dict[object, list[int]]:
@@ -142,8 +146,7 @@ def form_values(forms: dict, N: int) -> dict[object, list[int]]:
     One zeta_product series per base serves every form; each form is summed
     in integers over its common denominator, which must divide every total.
     """
-    series: dict[tuple, list[int]] = {}
-    out = {}
+    series, out = {}, {}
     for key, form in forms.items():
         den = lcm(*(Fraction(c).denominator for c, _, _ in form))
         acc = [0] * (N + 1)
@@ -152,25 +155,22 @@ def form_values(forms: dict, N: int) -> dict[object, list[int]]:
                 series[base] = zeta_product(base, N)
             step, weight = 1 << k, int(c * den)
             acc[step::step] = [a + weight * f for a, f in zip(acc[step::step], series[base])]
-        bad = next((n for n in range(1, N + 1) if acc[n] % den), None)
-        if bad is not None:
-            raise ArithmeticError(f"closed form {key} is fractional at n={bad}")
-        out[key] = [v // den for v in acc[1:]]
+        if den != 1:
+            bad = next((n for n in range(1, N + 1) if acc[n] % den), None)
+            if bad is not None:
+                raise ArithmeticError(f"closed form {key} is fractional at n={bad}")
+            acc = [v // den for v in acc]
+        out[key] = acc[1:]
     return out
 
 
 # ---------------------------------------------------------------------------
-# Reference table of Dirichlet generating functions for the six counting
-# sequences, in product form: each row is a sum of terms
-# (polynomial in t = 2^-s, zeta shifts).  table_form turns a row into
-# closed-form terms, so form_values evaluates it like any row of FORMS.
-#
-# Two rows are deliberately kept exactly as tabulated in the source so that
-# series_report can audit them instead of silently repairing them:
-#   * ("g2", "s") lacks an overall factor 3 relative to the closed-form
-#     subgroup counts (first divergence at n = 2);
-#   * ("g6", "s") is the shape that the source tabulates under a "g1" row
-#     label; the audit confirms it matches the g6 subgroup sequence.
+# Reference generating functions of the six counting sequences in product
+# form: each row is a sum of terms (polynomial in t = 2^-s, zeta shifts),
+# which table_form reads as closed-form terms.  Two rows are kept exactly as
+# the source tabulates them, so that series_report audits, not repairs, them:
+#   * ("g2", "s") lacks a factor 3 (first divergence at n = 2);
+#   * ("g6", "s") is tabulated under a "g1" label but is the g6 subgroup sequence.
 # ---------------------------------------------------------------------------
 
 F = Fraction

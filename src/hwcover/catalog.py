@@ -554,8 +554,8 @@ def class_count(iso: str, n: int) -> int:
 def count_arrays(N: int) -> dict[tuple[str, str], list[int]]:
     """Closed-form counts for all n <= N: the six (type, kind) rows of FORMS.
 
-    arith.form_values reads them from one zeta-product series per base; the
-    test suite checks it against the divisor sums of count_s / count_c.
+    arith.form_values reads them from one sieved Euler-product series per
+    base; the test suite checks it against the one-n values of count_s / count_c.
     """
     return arith.form_values({key: FORMS[key] for key in _COUNT_KEYS}, N)
 
@@ -580,7 +580,7 @@ def _first_divergence(a: list[int], b: list[int]) -> int | None:
 def series_tables(N: int) -> tuple[dict, dict]:
     """Closed-form counts and tabulated coefficients for n <= N, by (type, kind).
 
-    One form_values call over both sets of rows, so each base is convolved once.
+    One form_values call over both sets of rows, so each base is sieved once.
     """
     vals = arith.form_values({**{("formula", key): FORMS[key] for key in _COUNT_KEYS},
                               **{("table", key): arith.table_form(*key) for key in _COUNT_KEYS}}, N)

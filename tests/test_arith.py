@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from hwcover import catalog
 from hwcover.arith import (
     D3_ALTERNATING,
     GF_TABLE,
@@ -27,7 +29,7 @@ from hwcover.arith import (
     zeta_coeffs,
     zeta_product,
 )
-from witnesses import odd_factorization_identity_holds
+from witnesses import NESTED_DIVISOR_SUMS, odd_factorization_identity_holds
 
 
 # --- brute-force oracles: ordered factorizations, nothing clever -----------
@@ -185,6 +187,42 @@ def test_convolution_identities_to_ten_thousand():
     assert zeta_product((2, 1, 0), N) == om[1:]
 
 
+def convolution_chain(shifts, N):
+    """The product of zeta(s - j) as delta convolved with each zeta_coeffs in turn."""
+    out = [int(n == 1) for n in range(1, N + 1)]
+    for j in shifts:
+        out = convolve(out, zeta_coeffs(j, N))
+    return out
+
+
+TABLE_BASES = sorted({base for form in catalog.FORMS.values() for _, _, base in form}
+                     | {shifts for row in GF_TABLE.values() for _, shifts in row})
+
+
+@pytest.mark.parametrize("shifts", TABLE_BASES, ids=str)
+def test_zeta_product_sieve_matches_convolution_on_table_bases(shifts):
+    assert zeta_product(shifts, 4096) == convolution_chain(shifts, 4096)
+
+
+def test_zeta_product_sieve_matches_convolution_on_random_shifts():
+    rng = random.Random(10)
+    for N in [0, 1, 2, 3] + [rng.randint(4, 300) for _ in range(40)]:
+        for _ in range(5):
+            shifts = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
+            assert zeta_product(shifts, N) == convolution_chain(shifts, N), (shifts, N)
+
+
+def test_zeta_product_memory():
+    # guards peak RSS of `series`: the convolution chain the sieve replaced peaked at 3.6 MB
+    tracemalloc.start()
+    try:
+        zeta_product((0, 1, 2), 24576)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
 def test_form_values_identity_and_shift():
     N = 32
     f = zeta_product((1, 1, 1), N)
@@ -221,9 +259,24 @@ def test_table_form_reads_each_polynomial_coefficient_as_a_term():
 
 @pytest.mark.parametrize("key", sorted(GF_TABLE))
 def test_gf_rows_agree_with_the_divisor_sum_evaluator(key):
-    # convolution (form_values) against one-n divisor sums (form_value)
-    N = 256
+    # both evaluators are Euler products: the prime-power sieve (form_values)
+    # against the factorisation of each n (form_value); FORMS rows below
+    N = 4096
     assert gf_coeffs(*key, N) == [form_value(table_form(*key), n) for n in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("key", sorted(catalog.FORMS, key=str), ids=str)
+def test_forms_rows_agree_with_the_one_n_evaluator(key):
+    N = 4096
+    form = catalog.FORMS[key]
+    assert form_values({key: form}, N)[key] == [form_value(form, n) for n in range(1, N + 1)]
+
+
+def test_one_n_bases_match_nested_divisor_sums_at_large_n():
+    rng = random.Random(8)
+    for n in [rng.randint(1, 10 ** 8) for _ in range(50)] + [10 ** 6 * 2 ** 5, 3 ** 8 * 5 ** 4 * 7 ** 2]:
+        for base, nested in NESTED_DIVISOR_SUMS.items():
+            assert form_value(((1, 0, base),), n) == nested(n), (base, n)
 
 
 def test_gf_g1_s_is_omega_shifted_twice_dyadically():

@@ -453,7 +453,7 @@ def test_descriptor_outside_canonical_ranges_rejected(obj, field):
 
 
 def test_sieved_count_arrays_match_the_per_n_formulas():
-    # the range evaluator (convolution) against the one-n evaluator (divisor sums)
+    # the range evaluator (prime-power sieve) against the one-n evaluator (factorisation)
     arrays = catalog.count_arrays(1024)
     for n in range(1, 1025):
         for iso in ISO:

@@ -5,11 +5,13 @@ functions here recount some of them another way, by enumerating descriptors
 and sublattices and conjugating them, so that the tests can compare the two
 routes.  Each returns what it counted and checks nothing itself; the
 ``*_closed_form`` functions give the value the rows predict.
+``NESTED_DIVISOR_SUMS`` evaluates the named bases of the rows by plain nested
+divisor sums, not by their Euler products.
 """
 
 from typing import NamedTuple
 
-from hwcover import catalog
+from hwcover import arith, catalog
 from hwcover.arith import d3, d3_alternating, divisors, form_value
 from hwcover.group import GEN_X, GEN_Y, GEN_Z
 from hwcover.lattice import hnf2_all, hnf2_of, hnf3_all, transform2, transform3
@@ -106,3 +108,27 @@ def flip_fixed_count_3d(n: int) -> int:
 def odd_factorization_identity_holds(n: int) -> bool:
     """d3_alternating(n) == (d3(n) if n odd else 0)."""
     return d3_alternating(n) == (d3(n) if n % 2 else 0)
+
+
+def _sigma0(n: int) -> int:
+    return len(divisors(n))
+
+
+def _sigma1(n: int) -> int:
+    return sum(divisors(n))
+
+
+def _d3(n: int) -> int:
+    return sum(_sigma0(d) for d in divisors(n))
+
+
+# Each named base of arith at a positive integer n, by trial-division divisor sums.
+NESTED_DIVISOR_SUMS = {
+    arith.DELTA: lambda n: int(n == 1),
+    arith.ONE: lambda n: 1,
+    arith.SIGMA0: _sigma0,
+    arith.D3: _d3,
+    arith.SIGMA2: lambda n: sum(_sigma1(d) for d in divisors(n)),
+    arith.OMEGA: lambda n: sum(d * _sigma1(d) for d in divisors(n)),
+    arith.N_D3: lambda n: n * _d3(n),
+}
