@@ -9,8 +9,9 @@ Subcommands::
     series     audit of the generating-function table against the counts
     verify     three-way verification report (closed form / catalog / oracle)
 
-Exit codes: 0 success (verify: everything matches), 1 verification mismatch,
-2 usage or I/O error.  Output is deterministic byte-for-byte.
+Every command writes through one chunked writer, _emit, as its rows are
+produced.  Exit codes: 0 success (verify: everything matches), 1 verification
+mismatch, 2 usage or I/O error.  Output is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 from itertools import islice
@@ -50,78 +52,86 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict(obj)
 
 
+# Items per chunk of _emit, encoded by one csv writerows or json.dumps call
+# and written at once.  One call per item is about twice as slow, and one call
+# for the whole output holds all of its text; 256 JSON objects encode as fast
+# as 1024 and peak at a third of their memory.
+_CHUNK = 256
+
+
 def _write_csv(fh, header: Sequence[str], rows) -> int:
-    """Write the header, then the rows of any iterable as they come; return their number."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    count = 0
-    for row in rows:
-        writer.writerow(row)
-        count += 1
-    return count
-
-
-def _csv_text(header: Sequence[str], rows) -> str:
+    """Write the header, then the rows of any iterable a chunk at a time; return their number."""
     buf = io.StringIO()
-    _write_csv(buf, header, rows)
-    return buf.getvalue()
-
-
-# Objects per json.dumps call in _write_json_list.  One call per object is
-# about twice as slow, and one call for the whole list holds all of its text.
-# The encoder holds about 1.6 kB of fragments per object of a chunk; 256
-# objects encode as fast as 1024 and peak at a third of their memory.
-_JSON_CHUNK = 256
-
-
-def _write_json_list(fh, objs) -> int:
-    """Write the bytes of _json_text(list(objs)), encoding a chunk of objects at a time.
-
-    json.dumps(indent=2) puts each item of a list on its own lines after
-    "[\n" and before "\n]", joined by ",\n", so the chunks' items are joined
-    the same way.  Returns the number of objects.
-    """
-    it = iter(objs)
-    count = 0
-    while chunk := list(islice(it, _JSON_CHUNK)):
-        fh.write(",\n" if count else "[\n")
-        fh.write(json.dumps(chunk, indent=2, sort_keys=True)[2:-2])
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    it, count = iter(rows), 0
+    while chunk := list(islice(it, _CHUNK)):
+        writer.writerows(chunk)
+        fh.write(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
         count += len(chunk)
-    fh.write("\n]\n" if count else "[]\n")
+    fh.write(buf.getvalue())  # the header alone when there are no rows
     return count
 
 
-def _table_text(fmt: str, header: Sequence[str], rows) -> str:
-    """Rows under a header as CSV, or as a JSON list of objects keyed by it."""
-    if fmt == "json":
-        return _json_text([dict(zip(header, row)) for row in rows])
-    return _csv_text(header, rows)
+def _write_json_list(fh, objs, frame: tuple[str, str] | None = None) -> int:
+    """Write json.dumps(list(objs), indent=2, sort_keys=True) and a newline, a chunk at a time.
+
+    json.dumps(indent=2) puts each item of a list on its own lines after "[\n"
+    and before "\n]", joined by ",\n", so the chunks' items are joined the
+    same way.  frame is the text of an enclosing JSON document before and
+    after the list, which then nests one level deep.  Returns the number of objects.
+    """
+    before, after = frame or ("", "")
+    newline = "\n  " if frame else "\n"
+    it, count = iter(objs), 0
+    while chunk := list(islice(it, _CHUNK)):
+        # json.dumps escapes every newline inside a string, so each raw
+        # newline of its text starts a line, and nesting indents them all
+        text = json.dumps(chunk, indent=2, sort_keys=True)[2:-2].replace("\n", newline)
+        fh.write(("," if count else before + "[") + newline + text)
+        count += len(chunk)
+    fh.write((newline + "]" if count else before + "[]") + after + "\n")
+    return count
 
 
 @contextmanager
 def _output(path: str | None):
     """The output handle: stdout, or the file at path, opened once.
 
-    An I/O error on the file, from opening it to closing it, exits with code 2.
+    An I/O error on it, from opening it to closing it, exits with code 2.  On
+    stdout (a pipe closed early, say) the interpreter's flush at exit would
+    fail the same way, so the process's stdout is pointed at the null device.
     """
-    if path is None:
-        yield sys.stdout
-        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        if path is None and sys.stdout is sys.__stdout__:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write {'stdout' if path is None else path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(path: str | None, fmt: str, header: Sequence[str], rows=(), objs=None,
+          frame: tuple[str, str] | None = None) -> int:
+    """Write a command's output to path (stdout when None); return the number of items.
+
+    CSV is the header, then the rows.  JSON is the list of objs (by default the
+    rows keyed by the header), framed as in _write_json_list.
+    """
     with _output(path) as fh:
-        fh.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        if fmt == "csv":
+            return _write_csv(fh, header, rows)
+        if objs is None:
+            objs = (dict(zip(header, row)) for row in rows)
+        return _write_json_list(fh, objs, frame)
 
 # ---------------------------------------------------------------------------
 # Subcommands
@@ -129,13 +139,11 @@ def _json_text(obj) -> str:
 
 def _cmd_count(args) -> int:
     arrays = catalog.count_arrays(args.max)
-    rows = []
-    for n in range(1, args.max + 1):
-        s = [arrays[iso, "s"][n - 1] for iso in catalog.ISO_TYPES]
-        c = [arrays[iso, "c"][n - 1] for iso in catalog.ISO_TYPES]
-        rows.append([n, *s, sum(s), *c, sum(c)])
+    columns = [arrays[iso, kind] for kind in ("s", "c") for iso in catalog.ISO_TYPES]
+    rows = ((n, s1, s2, s6, s1 + s2 + s6, c1, c2, c6, c1 + c2 + c6)
+            for n, s1, s2, s6, c1, c2, c6 in zip(range(1, args.max + 1), *columns))
     header = ["n", "s_g1", "s_g2", "s_g6", "s_total", "c_g1", "c_g2", "c_g6", "c_total"]
-    _emit(_table_text(args.format, header, rows), args.out)
+    _emit(args.out, args.format, header, rows)
     return 0
 
 
@@ -144,11 +152,9 @@ def _cmd_enumerate(args) -> int:
         ds = catalog.iter_iso(args.type, args.index)
     else:
         ds = catalog.iter_index(args.index)
-    with _output(args.out) as fh:
-        if args.format == "json":
-            count = _write_json_list(fh, map(catalog.to_json_dict, ds))
-        else:
-            count = _write_csv(fh, _CSV_FIELDS, map(_csv_row, ds))
+    # both maps are lazy; _emit walks the one of its format
+    count = _emit(args.out, args.format, _CSV_FIELDS, map(_csv_row, ds),
+                  map(catalog.to_json_dict, ds))
     print(f"enumerate: index={args.index} type={args.type or 'all'} count={count}",
           file=sys.stderr)
     return 0
@@ -156,33 +162,30 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_classes(args) -> int:
     classes = catalog.iter_classes(args.index, args.type)
-    if args.format == "json":
-        # the class count precedes the classes, so the JSON is built whole
-        payload = [
-            {
-                "type": catalog.iso_of(rep),
-                "size": size,
-                "representative": catalog.to_json_dict(rep),
-                "members": [catalog.to_json_dict(d) for d in catalog.conjugacy_classes([rep])[0]],
-            }
-            for rep, size in classes
-        ]
-        _emit(_json_text({"index": args.index, "class_count": len(payload),
-                          "classes": payload}), args.out)
-    else:
-        rows = ([args.index, catalog.iso_of(rep), size,
-                 json.dumps(catalog.to_json_dict(rep), sort_keys=True)]
+    if args.format == "csv":
+        rows = ((args.index, catalog.iso_of(rep), size,
+                 json.dumps(catalog.to_json_dict(rep), sort_keys=True))
                 for rep, size in classes)
-        with _output(args.out) as fh:
-            _write_csv(fh, ["n", "type", "size", "representative"], rows)
+        _emit(args.out, "csv", ["n", "type", "size", "representative"], rows)
+        return 0
+    # class_count sorts before classes, so a first walk counts the classes
+    document = json.dumps({"class_count": sum(1 for _ in classes), "classes": [],
+                           "index": args.index}, indent=2, sort_keys=True)
+    objs = ({"type": catalog.iso_of(rep), "size": size,
+             "representative": catalog.to_json_dict(rep),
+             "members": [catalog.to_json_dict(d) for d in catalog.conjugacy_classes([rep])[0]]}
+            for rep, size in catalog.iter_classes(args.index, args.type))
+    _emit(args.out, "json", (), objs=objs, frame=tuple(document.split("[]")))
     return 0
 
 
 def _cmd_normal(args) -> int:
     arrays = catalog.normal_arrays(args.max)
-    rows = [[n, iso, *(arrays[iso, kind][n - 1] for kind in ("s", "c", "normal"))]
-            for n in range(1, args.max + 1) for iso in catalog.ISO_TYPES]
-    _emit(_table_text(args.format, ["n", "type", "s", "c", "normal"], rows), args.out)
+    per_type = [zip(arrays[iso, "s"], arrays[iso, "c"], arrays[iso, "normal"])
+                for iso in catalog.ISO_TYPES]
+    rows = ((n, iso, *cells) for n, cells_by_type in enumerate(zip(*per_type), 1)
+            for iso, cells in zip(catalog.ISO_TYPES, cells_by_type))
+    _emit(args.out, args.format, ["n", "type", "s", "c", "normal"], rows)
     return 0
 
 
@@ -192,22 +195,20 @@ def _cmd_series(args) -> int:
     if args.out is not None:
         # full coefficient tables alongside the verdicts
         formulas, table_vals = tables
-        rows = [[*key, n, table_vals[key][n - 1], formulas[key][n - 1]]
-                for key in sorted(table_vals) for n in range(1, args.max + 1)]
-        _emit(_csv_text(["type", "kind", "n", "table_value", "formula_value"], rows), args.out)
+        rows = ((*key, n, table, formula) for key in sorted(table_vals)
+                for n, table, formula in zip(range(1, args.max + 1), table_vals[key], formulas[key]))
+        _emit(args.out, "csv", ["type", "kind", "n", "table_value", "formula_value"], rows)
     if args.format == "json":
-        sys.stdout.write(_json_text(report))
-    else:
-        rows = [
-            [r["type"], r["kind"], r["verdict"], r["first_divergent_n"] or "",
-             r.get("note", "")]
-            for r in report["rows"]
-        ]
-        row3 = report["row3_label"]
-        sys.stdout.write(
-            _csv_text(["type", "kind", "verdict", "first_divergent_n", "note"], rows)
-            + f"# row 3 label audit: tabulated as {row3['tabulated_label']}; "
-            f"vs g1 s: {row3['vs_g1_s']}; vs g6 s: {row3['vs_g6_s']}\n")
+        with _output(None) as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return 0
+    rows = ((r["type"], r["kind"], r["verdict"], r["first_divergent_n"] or "", r.get("note", ""))
+            for r in report["rows"])
+    _emit(None, "csv", ["type", "kind", "verdict", "first_divergent_n", "note"], rows)
+    row3 = report["row3_label"]
+    with _output(None) as fh:
+        fh.write(f"# row 3 label audit: tabulated as {row3['tabulated_label']}; "
+                 f"vs g1 s: {row3['vs_g1_s']}; vs g6 s: {row3['vs_g6_s']}\n")
     return 0
 
 
@@ -216,11 +217,9 @@ def _cmd_verify(args) -> int:
     reports = [oracle.cross_check(n, oracle_limit=min(args.max, args.oracle_limit))
                for n in range(1, args.max + 1)]
     ok = all(r.all_match for r in reports)
-    if args.format == "json":
-        _emit(_json_text([r.to_json_dict() for r in reports]), args.out)
-    else:
-        rows = [row for r in reports for row in oracle.csv_rows(r)]
-        _emit(_csv_text(oracle.CSV_HEADER.split(","), rows), args.out)
+    _emit(args.out, args.format, oracle.CSV_HEADER.split(","),
+          (row for r in reports for row in oracle.csv_rows(r)),
+          (r.to_json_dict() for r in reports))
     if not ok:
         bad = [
             f"n={row.n} type={row.iso}" + (f" ({row.failure})" if row.failure else "")

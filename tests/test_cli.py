@@ -4,11 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import hwcover
 from hwcover import catalog
 from hwcover.cli import descriptor_from_csv_row, main
 
@@ -187,6 +191,30 @@ def test_enumerate_bytes_pinned(tmp_path, capsys):
         assert path.read_text(encoding="utf-8") == out, argv
 
 
+def test_count_and_verify_bytes_pinned(tmp_path, capsys):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    pinned = {
+        ("count", "--max", "1000"):
+            "bd99f6dc1d3c79d9ac1f7ade2c70d703662a6721f8fe2812604515f9c0cc8974",
+        # 1000 objects: four JSON chunks
+        ("count", "--max", "1000", "--format", "json"):
+            "be552db7f7ac2f8e20b46e5e17c3a3dc1979b473647a747e9e040e1aa756373b",
+        ("verify", "--max", "12", "--oracle-limit", "12"):
+            "3b496511dde41cc2a59af73a4734ec3bd60b170f754ff10a383bc0e0815cc0fd",
+        ("verify", "--max", "12", "--oracle-limit", "12", "--format", "json"):
+            "38d78bcd9ac360b59b8f376e9a996003a95256f960b0da75e95789befa21fa5c",
+    }
+    path = tmp_path / "table.txt"
+    for argv, expected in pinned.items():
+        _, out, _ = run_cli(capsys, *argv)
+        assert digest(out) == expected, argv
+        code, to_file, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and to_file == ""
+        assert path.read_text(encoding="utf-8") == out, argv
+
+
 class _HashSink:
     """Text stream that keeps only the SHA-256 of what is written to it."""
 
@@ -201,22 +229,34 @@ class _HashSink:
         pass
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_enumerate_streams_in_bounded_memory(fmt, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, bound_mb", [
     # 21,359 rows: 0.57 MB of CSV and 2.5 MB of JSON text.  Building the whole
     # output before writing it peaks at 4.5 MB (CSV) and 36.7 MB (JSON).
-    _, expected, _ = run_cli(capsys, "enumerate", "--index", "96", "--format", fmt)
+    (["enumerate", "--index", "96"], 2),
+    (["enumerate", "--index", "96", "--format", "json"], 2),
+    # Building the rows and the whole text first peaks at 10.9, 7.8 and 8.2 MB.
+    (["count", "--max", "5000", "--format", "json"], 3),
+    (["normal", "--max", "2000", "--format", "json"], 2),
+    (["series", "--max", "5000", "--out", "PATH"], 4),
+], ids=["csv", "json", "count-json", "normal-json", "series-out"])
+def test_enumerate_streams_in_bounded_memory(argv, bound_mb, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "out.csv"
+    argv = [str(path) if arg == "PATH" else arg for arg in argv]
+    _, expected, _ = run_cli(capsys, *argv)
+    expected_file = path.read_bytes() if path.exists() else None
+    path.unlink(missing_ok=True)
     sink = _HashSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = main(["enumerate", "--index", "96", "--format", fmt])
+        code = main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
     assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
-    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert (path.read_bytes() if path.exists() else None) == expected_file
+    assert peak < bound_mb * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_classes_streams_in_bounded_memory(capsys, monkeypatch):
@@ -338,6 +378,38 @@ def test_exit_code_2_on_unwritable_path(capsys):
         out, err = capsys.readouterr()
         assert err.startswith("error: cannot write /nonexistent-dir/x.csv: ")
         assert out == ""
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback():
+    src = str(Path(hwcover.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # about 3 MB of rows, far more than a pipe holds, so the child is still
+    # writing when the reader goes away after one line
+    proc = subprocess.Popen([sys.executable, "-m", "hwcover.cli", "enumerate", "--index", "256"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"type,axis,k,l,m,u,v,w,b,c,a,e,f,d,s,t\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write stdout: [Errno 32] Broken pipe"), err
+    assert err.count("\n") == 1, err
+
+
+def test_broken_stdout_exits_2(capsys, monkeypatch):
+    class BrokenSink:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", BrokenSink())
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--max", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_output_is_deterministic(capsys):
