@@ -99,26 +99,17 @@ class G6Descriptor(NamedTuple):
 Descriptor = Z3Descriptor | G2Descriptor | G6Descriptor
 
 
-def descriptor_type(d: Descriptor) -> str:
-    """JSON tag of the descriptor: z3, g2 or g6."""
-    if isinstance(d, Z3Descriptor):
-        return "z3"
-    if isinstance(d, G2Descriptor):
-        return "g2"
-    return "g6"
+_ISO_OF = {Z3Descriptor: "g1", G2Descriptor: "g2", G6Descriptor: "g6"}
 
 
 def iso_of(d: Descriptor) -> str:
     """Isomorphism type of the subgroup (g1 = Z^3 covering a torus)."""
-    return {"z3": "g1", "g2": "g2", "g6": "g6"}[descriptor_type(d)]
-
-
-_TYPE_RANK = {"z3": 0, "g2": 1, "g6": 2}
+    return _ISO_OF[type(d)]
 
 
 def sort_key(d: Descriptor) -> tuple:
     """Canonical total order: z3 block, then g2, then g6, lexicographic inside."""
-    return (_TYPE_RANK[descriptor_type(d)], d)
+    return (ISO_TYPES.index(iso_of(d)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +163,14 @@ def _known_iso(iso: str) -> str:
     return iso
 
 
-def _count_form(iso: str, kind: str) -> tuple:
-    return FORMS[_known_iso(iso), kind]
-
-
 def count_s(iso: str, n: int) -> int:
     """Number of index-n subgroups of the given isomorphism type."""
-    return form_value(_count_form(iso, "s"), n)
+    return form_value(FORMS[_known_iso(iso), "s"], n)
 
 
 def count_c(iso: str, n: int) -> int:
     """Number of conjugacy classes of index-n subgroups (= coverings)."""
-    return form_value(_count_form(iso, "c"), n)
+    return form_value(FORMS[_known_iso(iso), "c"], n)
 
 
 def normal_counts(n: int) -> tuple[int, int, int]:
@@ -218,30 +205,41 @@ def iter_z3(n: int) -> Iterator[Z3Descriptor]:
         yield Z3Descriptor(h)
 
 
-def iter_g2(n: int) -> Iterator[G2Descriptor]:
-    """Every index-n subgroup isomorphic to the dicosm group (n even only)."""
+def _g2_planes(n: int) -> Iterator[tuple[str, int, Hnf2]]:
+    """(axis, k, H) of the index-n G2-type subgroups, in increasing order (n even only)."""
     if n < 1 or n % 2:
         return
     q = n // 2
     for axis in AXES:
         for k in _odd_divisors(q):
             for lat in hnf2_all(q // k):
-                for s in range(lat.b):
-                    for t in range(lat.a):
-                        yield G2Descriptor(axis, k, lat, s, t)
+                yield axis, k, lat
 
 
-def iter_g6(n: int) -> Iterator[G6Descriptor]:
-    """Every index-n subgroup isomorphic to the whole group (n odd only)."""
+def _g6_boxes(n: int) -> Iterator[tuple[int, int, int]]:
+    """Odd (k, l, m) with k * l * m = n, in increasing order (n odd only)."""
     if n < 1 or n % 2 == 0:
         return
     for k in _odd_divisors(n):
         for l in _odd_divisors(n // k):
-            m = n // (k * l)
-            for u in range(l):
-                for v in range(m):
-                    for w in range(k):
-                        yield G6Descriptor(k, l, m, u, v, w)
+            yield k, l, n // (k * l)
+
+
+def iter_g2(n: int) -> Iterator[G2Descriptor]:
+    """Every index-n subgroup isomorphic to the dicosm group (n even only)."""
+    for axis, k, lat in _g2_planes(n):
+        for s in range(lat.b):
+            for t in range(lat.a):
+                yield G2Descriptor(axis, k, lat, s, t)
+
+
+def iter_g6(n: int) -> Iterator[G6Descriptor]:
+    """Every index-n subgroup isomorphic to the whole group (n odd only)."""
+    for k, l, m in _g6_boxes(n):
+        for u in range(l):
+            for v in range(m):
+                for w in range(k):
+                    yield G6Descriptor(k, l, m, u, v, w)
 
 
 _ITERATORS = {"g1": iter_z3, "g2": iter_g2, "g6": iter_g6}
@@ -291,19 +289,12 @@ def _vec(g: Element) -> tuple[int, int, int]:
     return (g.a, g.b, g.c)
 
 
-def _plane_element(axis: str, s: int, t: int) -> Element:
+def _g2_element(letter: str, axis: str, h: int, s: int, t: int) -> Element:
+    """letter . x^(2a) y^(2b) z^(2c) with h at the axis and (s, t) on its plane."""
     vec = [0, 0, 0]
     p1, p2 = _PLANE_POS[axis]
-    vec[p1], vec[p2] = s, t
-    return Element(E, *vec)
-
-
-def _axis_element(axis: str, k: int, s: int, t: int) -> Element:
-    vec = [0, 0, 0]
-    vec[_AXIS_POS[axis]] = (k - 1) // 2
-    p1, p2 = _PLANE_POS[axis]
-    vec[p1], vec[p2] = s, t
-    return Element(axis, *vec)
+    vec[_AXIS_POS[axis]], vec[p1], vec[p2] = h, s, t
+    return Element(letter, *vec)
 
 
 def _g6_brackets(d: G6Descriptor) -> tuple[int, int, int]:
@@ -323,9 +314,9 @@ def generators(d: Descriptor) -> tuple[Element, Element, Element]:
     if isinstance(d, G2Descriptor):
         lat = d.lattice
         return (
-            _plane_element(d.axis, lat.b, 0),
-            _plane_element(d.axis, lat.c, lat.a),
-            _axis_element(d.axis, d.k, d.s, d.t),
+            _g2_element(E, d.axis, 0, lat.b, 0),
+            _g2_element(E, d.axis, 0, lat.c, lat.a),
+            _g2_element(d.axis, d.axis, (d.k - 1) // 2, d.s, d.t),
         )
     A, B, C = _g6_brackets(d)
     k, l, m = d.k, d.l, d.m
@@ -496,36 +487,28 @@ def _g2_classes(n: int) -> Iterator[Class]:
     representative there.  Every K-coset holds [K : H] cosets of H, and its
     least member has s, t < 2, since K contains 2Z^2.
     """
-    if n < 1 or n % 2:
-        return
-    q = n // 2
-    for axis in AXES:
-        for k in _odd_divisors(q):
-            for lat in hnf2_all(q // k):
-                if transform2(lat, (1, -1)) < lat:
-                    continue
-                key = _g2_key_lattice(lat)
-                least: dict[tuple[int, int], tuple[int, int]] = {}
-                for s in range(min(lat.b, 2)):
-                    for t in range(min(lat.a, 2)):
-                        least.setdefault(key.reduce_coset(s, t), (s, t))
-                done: set[tuple[int, int]] = set()
-                for coset, (s, t) in least.items():
-                    if coset in done:
-                        continue
-                    rep = G2Descriptor(axis, k, lat, s, t)
-                    pairs = _g2_class_pairs(rep, key)
-                    done.update(c for h, c in pairs if h == lat)
-                    yield rep, len(pairs) * (lat.index // key.index)
+    for axis, k, lat in _g2_planes(n):
+        if transform2(lat, (1, -1)) < lat:
+            continue
+        key = _g2_key_lattice(lat)
+        least: dict[tuple[int, int], tuple[int, int]] = {}
+        for s in range(min(lat.b, 2)):
+            for t in range(min(lat.a, 2)):
+                least.setdefault(key.reduce_coset(s, t), (s, t))
+        done: set[tuple[int, int]] = set()
+        for coset, (s, t) in least.items():
+            if coset in done:
+                continue
+            rep = G2Descriptor(axis, k, lat, s, t)
+            pairs = _g2_class_pairs(rep, key)
+            done.update(c for h, c in pairs if h == lat)
+            yield rep, len(pairs) * (lat.index // key.index)
 
 
 def _g6_classes(n: int) -> Iterator[Class]:
     """One class per (k, l, m): conjugation reaches every (u, v, w)."""
-    if n < 1 or n % 2 == 0:
-        return
-    for k in _odd_divisors(n):
-        for l in _odd_divisors(n // k):
-            yield G6Descriptor(k, l, n // (k * l), 0, 0, 0), n
+    for k, l, m in _g6_boxes(n):
+        yield G6Descriptor(k, l, m, 0, 0, 0), n
 
 
 _CLASS_ITERATORS = {"g1": _z3_classes, "g2": _g2_classes, "g6": _g6_classes}
@@ -651,19 +634,26 @@ _FIELD_RANGES = {
 
 
 def _int_field(obj: dict, tag: str, field: str) -> int:
-    """An integer field: a JSON int (not a bool) or the text of a CSV cell."""
+    """An integer field: a JSON int (not a bool) or the ASCII digits of a CSV cell."""
     val = obj.get(field)
-    if type(val) is int or isinstance(val, str) and val.removeprefix("-").isdecimal():
+    if type(val) is int or (isinstance(val, str) and val.isascii()
+                            and val.removeprefix("-").isdecimal()):
         return int(val)
     raise ValueError(f"{tag} descriptor field {field!r} = {val!r} must be an integer"
                      if field in obj else f"{tag} descriptor field {field!r} is missing")
 
 
 def from_json_dict(obj: dict) -> Descriptor:
-    """Parse a descriptor; a ValueError names a missing, non-integer or bad field."""
+    """Parse a descriptor; a ValueError names a missing, non-integer, bad or unknown field."""
     tag = obj.get("type")
     if tag not in _FIELD_RANGES:
         raise ValueError(f"descriptor field 'type' = {tag!r} must be z3, g2 or g6")
+    known = {"type", *(field for field, _ in _FIELD_RANGES[tag])}
+    if tag == "g2":
+        known.add("axis")
+    for field in obj:
+        if field not in known:
+            raise ValueError(f"{tag} descriptor has no field {field!r}")
     p: dict[str, int] = {}
     for field, rule in _FIELD_RANGES[tag]:
         val = p[field] = _int_field(obj, tag, field)

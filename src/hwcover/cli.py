@@ -221,14 +221,12 @@ def _cmd_verify(args) -> int:
           (row for r in reports for row in oracle.csv_rows(r)),
           (r.to_json_dict() for r in reports))
     if not ok:
-        bad = [
-            f"n={row.n} type={row.iso}" + (f" ({row.failure})" if row.failure else "")
-            for r in reports for row in r.rows if not row.match
-        ] + [
-            f"n={r.n} tables_bijective=false" + (f" ({r.failure})" if r.failure else "")
-            for r in reports if r.tables_bijective is False
-        ]
-        print("verify: MISMATCH at " + "; ".join(bad), file=sys.stderr)
+        bad = [(f"n={row.n} type={row.iso}", row.failure)
+               for r in reports for row in r.rows if not row.match]
+        bad += [(f"n={r.n} tables_bijective=false", r.failure)
+                for r in reports if r.tables_bijective is False]
+        print("verify: MISMATCH at " + "; ".join(
+            where + (f" ({why})" if why else "") for where, why in bad), file=sys.stderr)
         return 1
     print(f"verify: all cells match for n <= {args.max} "
           f"(oracle columns for n <= {min(args.max, args.oracle_limit)})",
@@ -240,15 +238,22 @@ def _cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
+
+
 def _positive(text: str) -> int:
-    val = int(text)
+    val = _integer(text)
     if val < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return val
 
 
 def _oracle_limit(text: str) -> int:
-    val = int(text)
+    val = _integer(text)
     if val < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     if val > oracle.HARD_CAP:

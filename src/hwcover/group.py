@@ -165,11 +165,6 @@ class Element(NamedTuple):
             ez += 1
         return ex, ey, ez
 
-    @property
-    def phi(self) -> str:
-        """Image in the Klein four-group quotient by the translations."""
-        return self.letter
-
     def to_affine(self) -> AffineIso:
         """Faithful affine image (letter isometry, then the translation)."""
         base = AFFINE_LETTER[self.letter]

@@ -34,10 +34,7 @@ class Hnf2(NamedTuple):
         return (self.b, 0), (self.c, self.a)
 
     def contains(self, v: tuple[int, int]) -> bool:
-        j, r = divmod(v[1], self.a)
-        if r:
-            return False
-        return (v[0] - j * self.c) % self.b == 0
+        return self.reduce_coset(*v) == (0, 0)
 
     def reduce_coset(self, s: int, t: int) -> tuple[int, int]:
         """Canonical coset representative in [0, b) x [0, a)."""
@@ -63,13 +60,7 @@ class Hnf3(NamedTuple):
         return (self.c, 0, 0), (self.e, self.b, 0), (self.f, self.d, self.a)
 
     def contains(self, v: tuple[int, int, int]) -> bool:
-        k, r = divmod(v[2], self.a)
-        if r:
-            return False
-        j, r = divmod(v[1] - k * self.d, self.b)
-        if r:
-            return False
-        return (v[0] - j * self.e - k * self.f) % self.c == 0
+        return self.reduce_coset(v) == (0, 0, 0)
 
     def reduce_coset(self, v: tuple[int, int, int]) -> tuple[int, int, int]:
         """Canonical coset representative in [0, c) x [0, b) x [0, a)."""

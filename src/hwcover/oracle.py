@@ -6,10 +6,13 @@ Independent of the catalog machinery, every index-n subgroup of
 
 is found as a transitive permutation action of the generators on n points
 with a marked basepoint (the subgroup is the basepoint stabilizer).  The
-search is the classical low-index backtrack: fill coset-table entries in
-scan order, propagate relator consequences after every definition, and
-introduce new cosets in first-appearance order so that each *subgroup* (not
-each conjugacy class) is produced exactly once.
+relators are the first three of ``group.RELATOR_WORDS``.  The search is the
+classical low-index backtrack: fill coset-table entries in scan order,
+propagate relator consequences after every definition, and introduce new
+cosets in first-appearance order so that each *subgroup* (not each
+conjugacy class) is produced exactly once.  Its column order x, x^-1, y,
+y^-1, z, z^-1 is also the relabeling's, so every table it returns is
+standardized (Sims): its own base-0 form.
 
 Conjugacy classes are recovered afterwards by canonical relabeling: two
 stabilizers are conjugate exactly when their tables agree after forgetting
@@ -39,17 +42,17 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import catalog
-from .group import IDENTITY, LETTER_TIMES, LETTERS, TOKEN_ELEMENT, Element
+from .group import (IDENTITY, LETTER_TIMES, LETTERS, RELATOR_WORDS, TOKEN_ELEMENT, Element,
+                    parse_word)
 from .catalog import Descriptor, index_of
 from .lattice import Hnf3
 
-# Generator columns: x, x^-1, y, y^-1, z, z^-1; column g's inverse is g ^ 1.
-_COLS = 6
-_RELATORS = (
-    (0, 2, 2, 1, 2, 2),  # x y y x^-1 y y
-    (2, 0, 0, 3, 0, 0),  # y x x y^-1 x x
-    (0, 2, 4),           # x y z
-)
+# Generator columns x, x^-1, y, y^-1, z, z^-1, one per word token, for every
+# table of the module, searched or relabeled; column g's inverse is g ^ 1.
+_TOKENS = "xXyYzZ"
+_COLS = len(_TOKENS)
+# The three defining relators of the presentation, as column codes.
+_RELATORS = tuple(tuple(map(_TOKENS.index, parse_word(word))) for word in RELATOR_WORDS[:3])
 
 # All cyclic rotations of the relators, bucketed by first column; scans of
 # exactly these words at a fresh table entry cover every relator cycle
@@ -94,15 +97,7 @@ class CosetTable:
                     p = perms[g][p]
                 if p != c:
                     raise ValueError(f"relator {rel} acts nontrivially at coset {c}")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            c = frontier.pop()
-            for perm in (self.x, self.y, self.z):
-                if perm[c] not in seen:
-                    seen.add(perm[c])
-                    frontier.append(perm[c])
-        if len(seen) != n:
+        if len(_reach(0, (self.x, self.y, self.z))) != n:
             raise ValueError("action is not transitive")
 
     @property
@@ -117,15 +112,24 @@ class CosetTable:
             self.z, _inverse_perm(self.z),
         )
 
-    def to_json_dict(self) -> dict:
-        return {"x": list(self.x), "y": list(self.y), "z": list(self.z)}
-
 
 def _inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
+
+
+def _reach(start: int, perms: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Breadth-first numbers, in order, of the points reachable from start under perms."""
+    pos = {start: 0}
+    order = [start]
+    for c in order:  # order grows while it is scanned
+        for p in perms:
+            if p[c] not in pos:
+                pos[p[c]] = len(order)
+                order.append(p[c])
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -257,42 +261,24 @@ def stabilizer_type(t: CosetTable) -> str:
 
     The translation subgroup acts through the squared generator
     permutations; its orbit count o determines the Klein image size 4/o.
+    It is normal and the action is transitive, so its orbits have equal
+    size, and o is n over the size of the basepoint's orbit.
     """
     n = t.degree
     squares = [tuple(p[p[i]] for i in range(n)) for p in (t.x, t.y, t.z)]
-    seen: set[int] = set()
-    orbits = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        orbits += 1
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            c = frontier.pop()
-            for p in squares:
-                if p[c] not in seen:
-                    seen.add(p[c])
-                    frontier.append(p[c])
-    return {1: "g1", 2: "g2", 4: "g6"}[4 // orbits]
+    return {1: "g1", 2: "g2", 4: "g6"}[4 * len(_reach(0, squares)) // n]
 
 
 def _relabelings(t: CosetTable, bases: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Canonical form x + y + z of t relabeled breadth-first from each base.
 
-    Generator order x, y, z, x^-1, y^-1, z^-1; a form depends only on the
-    abstract action and the chosen basepoint.
+    The walk takes the columns in their order, as the search does; a form
+    depends only on the abstract action and the chosen basepoint.
     """
-    perms = (t.x, t.y, t.z, *(_inverse_perm(p) for p in (t.x, t.y, t.z)))
+    perms = t.perms()
     for base in bases:
-        order = [base]
-        pos = {base: 0}
-        for c in order:  # order grows while it is scanned
-            for p in perms:
-                if p[c] not in pos:
-                    pos[p[c]] = len(order)
-                    order.append(p[c])
-        yield tuple(pos[p[c]] for p in perms[:3] for c in order)
+        pos = _reach(base, perms)
+        yield tuple(pos[p[c]] for p in perms[::2] for c in pos)
 
 
 def _base_form(t: CosetTable) -> tuple[int, ...]:
@@ -365,7 +351,7 @@ def _left_coset_key(d: Descriptor) -> Callable[[Element], tuple]:
     return key
 
 
-def descriptor_to_table(d: Descriptor, max_cosets: int | None = None) -> CosetTable:
+def descriptor_to_table(d: Descriptor) -> CosetTable:
     """Permutation action on the right cosets of the descriptor's subgroup.
 
     Built by breadth-first coset enumeration over the exact group
@@ -376,9 +362,6 @@ def descriptor_to_table(d: Descriptor, max_cosets: int | None = None) -> CosetTa
     e.g. under fault injection).
     """
     expected = index_of(d)
-    limit = max_cosets if max_cosets is not None else expected
-    if expected > limit:
-        raise EnumerationError(f"index {expected} exceeds the enumeration limit {limit}")
     key = _left_coset_key(d)
     inverses: list[Element] = [IDENTITY]  # g^-1 of each coset Hg, in BFS order
     labels = {key(IDENTITY): 0}
@@ -426,16 +409,16 @@ class CountRow:
     c_oracle: int | None
     failure: str | None = None
 
+    def cells(self) -> tuple:
+        """The row's values in CSV_HEADER order; an absent column is None."""
+        return (self.n, self.iso, self.s_closed, self.s_catalog, self.s_oracle,
+                self.c_closed, self.c_catalog, self.c_oracle, self.match)
+
     @property
     def match(self) -> bool:
-        s_vals = {v for v in (self.s_closed, self.s_catalog, self.s_oracle) if v is not None}
-        c_vals = {v for v in (self.c_closed, self.c_catalog, self.c_oracle) if v is not None}
-        return (
-            len(s_vals) == 1
-            and len(c_vals) == 1
-            and self.s_catalog is not None
-            and self.c_catalog is not None
-        )
+        columns = ((self.s_closed, self.s_catalog, self.s_oracle),
+                   (self.c_closed, self.c_catalog, self.c_oracle))
+        return all(cat == closed and orc in (None, closed) for closed, cat, orc in columns)
 
 
 @dataclass(frozen=True)
@@ -459,29 +442,21 @@ class CrossCheckReport:
         return {
             "n": self.n,
             "tables_bijective": self.tables_bijective,
-            "rows": [
-                {
-                    "n": r.n, "type": r.iso,
-                    "s_closed": r.s_closed, "s_catalog": r.s_catalog, "s_oracle": r.s_oracle,
-                    "c_closed": r.c_closed, "c_catalog": r.c_catalog, "c_oracle": r.c_oracle,
-                    "match": r.match,
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(zip(_FIELDS, r.cells())) for r in self.rows],
         }
 
 
 CSV_HEADER = "n,type,s_closed,s_catalog,s_oracle,c_closed,c_catalog,c_oracle,match"
+_FIELDS = CSV_HEADER.split(",")
+
+
+def _csv_cell(v):
+    """None as an empty cell, a bool as true or false."""
+    return "" if v is None else str(v).lower() if type(v) is bool else v
 
 
 def csv_rows(report: CrossCheckReport) -> list[list]:
-    def cell(v):
-        return "" if v is None else v
-    return [
-        [r.n, r.iso, r.s_closed, cell(r.s_catalog), cell(r.s_oracle),
-         r.c_closed, cell(r.c_catalog), cell(r.c_oracle), str(r.match).lower()]
-        for r in report.rows
-    ]
+    return [[_csv_cell(v) for v in r.cells()] for r in report.rows]
 
 
 def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckReport:
@@ -497,7 +472,7 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     oracle_keys: Counter[tuple] = Counter()
     if use_oracle:
         tables = low_index(n, search_limit=oracle_limit)
-        forms = [_base_form(t) for t in tables]
+        forms = [t.x + t.y + t.z for t in tables]  # searched tables are standardized
         types = [stabilizer_type(t) for t in tables]
         oracle_keys.update(forms)
         oracle_s.update(types)

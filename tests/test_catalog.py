@@ -444,6 +444,11 @@ def test_descriptor_json_round_trip():
     ({"type": "g6", "k": 1, "l": 1, "m": 1, "u": 0, "v": 0}, "'w'"),
     ({"k": 1, "l": 1, "m": 1, "u": 0, "v": 0, "w": 0}, "'type'"),
     ({"type": "g2", "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0}, "'axis'"),
+    # an Arabic-Indic digit 3, which str.isdecimal accepts
+    ({"type": "g6", "k": "\u0663", "l": 1, "m": 1, "u": 0, "v": 0, "w": 0}, "'k'"),
+    ({"type": "g6", "k": 3, "l": 1, "m": 1, "u": 0, "v": 0, "w": 0, "q": 5}, "no field 'q'"),
+    ({"type": "g2", "axis": "x", "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0, "u": 0},
+     "no field 'u'"),  # a filled cell of another type's column
 ])
 def test_descriptor_outside_canonical_ranges_rejected(obj, field):
     with pytest.raises(ValueError, match=field):

@@ -319,10 +319,10 @@ def test_verify_mismatch_names_the_descriptor_whose_table_fails(capsys, monkeypa
     victim = catalog.enumerate_g2(4)[5]
     real = oracle.descriptor_to_table
 
-    def descriptor_to_table(d, max_cosets=None):
+    def descriptor_to_table(d):
         if d == victim:
             raise oracle.EnumerationError("closed early")
-        return real(d, max_cosets)
+        return real(d)
     monkeypatch.setattr(oracle, "descriptor_to_table", descriptor_to_table)
     code, out, err = run_cli(capsys, "verify", "--max", "4", "--oracle-limit", "4")
     assert code == 1
@@ -355,6 +355,14 @@ def test_exit_code_2_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "0"])
     assert exc.value.code == 2
+    # text that is not an integer is named as such, without the parser's private names
+    for argv in (["count", "--max", "x"], ["verify", "--max", "4", "--oracle-limit", "abc"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and "invalid _" not in err, err
 
 
 def test_exit_code_2_on_unwritable_path(capsys):

@@ -157,7 +157,7 @@ def test_exponents_examples():
 
 @given(elements, elements)
 def test_letter_quotient_is_a_homomorphism(p, q):
-    assert (p * q).phi == LETTER_TIMES[p.phi, q.phi]
+    assert (p * q).letter == LETTER_TIMES[p.letter, q.letter]
 
 
 @given(elements, elements)

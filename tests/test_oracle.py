@@ -157,6 +157,17 @@ def test_canonical_table_is_relabeling_invariant():
         assert canonical_table(shuffled, perm[0]) == canonical_table(t, 0)
 
 
+def test_searched_tables_are_standardized():
+    # cross_check takes a searched table's base-0 form to be x + y + z as it stands
+    for n in range(1, 25):
+        for t in low_index(n, search_limit=24):
+            assert canonical_table(t, 0) == t, t
+
+
+def test_relators_are_the_first_three_relator_words():
+    assert oracle._RELATORS == ((0, 2, 2, 1, 2, 2), (2, 0, 0, 3, 0, 0), (0, 2, 4))
+
+
 def test_classes_at_three():
     tables = low_index(3)
     assert len(tables) == 9
@@ -297,8 +308,8 @@ def test_hard_cap_guard():
 def _swap_one_table(monkeypatch, victim, replacement):
     real = oracle.descriptor_to_table
 
-    def patched(d, max_cosets=None):
-        return replacement(d) if d == victim else real(d, max_cosets)
+    def patched(d):
+        return replacement(d) if d == victim else real(d)
     monkeypatch.setattr(oracle, "descriptor_to_table", patched)
 
 
