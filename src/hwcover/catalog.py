@@ -7,16 +7,20 @@ description, realized here by three descriptor records:
 
 * :class:`Z3Descriptor` -- a sublattice of the translation subgroup
   Lambda = <x^2, y^2, z^2>, stored as an Hnf3 in half-exponent coordinates.
-  Index in HW = 4 * lattice index.
 * :class:`G2Descriptor` -- a subgroup of one of the three index-2 subgroups
   Gamma_x = <x, y^2, z^2>, Gamma_y, Gamma_z.  Stored as (axis, k, H, (s, t)):
   k is the odd exponent of the distinguished generator axis^k * h, H is the
   plane sublattice (intersection with the two complementary squared
   generators), and (s, t) is the coset representative of h, reduced to the
-  canonical transversal [0, H.b) x [0, H.a).  Index = 2 * k * H.index.
+  canonical transversal [0, H.b) x [0, H.a).
 * :class:`G6Descriptor` -- a subgroup isomorphic to the whole group, given
-  by six parameters (k, l, m, u, v, w) with k, l, m odd, k*l*m = index,
-  0 <= u < l, 0 <= v < m, 0 <= w < k.
+  by six parameters (k, l, m, u, v, w) with k, l, m odd, 0 <= u < l,
+  0 <= v < m, 0 <= w < k.
+
+Lambda is normal of index 4, so every one of these subgroups H is R T, with
+T = H meet Lambda and R one element of H per letter of H.  ``cosets`` reads
+(T, R) off a descriptor; the membership test ``contains``, the index
+4 [Lambda : T] / |R| of ``index_of`` and the oracle's coset labels read it.
 
 Each type's parametrisation is one loop, in a generator that yields its
 descriptors in canonical order: ``iter_z3``, ``iter_g2`` and ``iter_g6``,
@@ -61,7 +65,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import arith
 from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
                     form_value)
-from .group import E, GEN_X, GEN_Y, GEN_Z, SIGNS, Element
+from .group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, SIGNS, Element
 from .lattice import Hnf2, Hnf3, hnf2_all, iter_hnf3, transform2, transform3
 
 ISO_TYPES = ("g1", "g2", "g6")
@@ -282,12 +286,8 @@ def enumerate_index(n: int) -> list[Descriptor]:
 
 
 # ---------------------------------------------------------------------------
-# Generators, membership, index
+# Generators and the coset structure H = R T: membership, index
 # ---------------------------------------------------------------------------
-
-def _vec(g: Element) -> tuple[int, int, int]:
-    return (g.a, g.b, g.c)
-
 
 def _g2_element(letter: str, axis: str, h: int, s: int, t: int) -> Element:
     """letter . x^(2a) y^(2b) z^(2c) with h at the axis and (s, t) on its plane."""
@@ -295,15 +295,6 @@ def _g2_element(letter: str, axis: str, h: int, s: int, t: int) -> Element:
     p1, p2 = _PLANE_POS[axis]
     vec[_AXIS_POS[axis]], vec[p1], vec[p2] = h, s, t
     return Element(letter, *vec)
-
-
-def _g6_brackets(d: G6Descriptor) -> tuple[int, int, int]:
-    """Reduced translation exponents (A, B, C) of the three generators."""
-    k, l, m, u, v, w = d
-    A = (m - 1 + 2 * v) % (2 * m)
-    B = (1 - k + 2 * w) % (2 * k)
-    C = (l - 1 + 2 * u) % (2 * l)
-    return A, B, C
 
 
 def generators(d: Descriptor) -> tuple[Element, Element, Element]:
@@ -318,48 +309,45 @@ def generators(d: Descriptor) -> tuple[Element, Element, Element]:
             _g2_element(E, d.axis, 0, lat.c, lat.a),
             _g2_element(d.axis, d.axis, (d.k - 1) // 2, d.s, d.t),
         )
-    A, B, C = _g6_brackets(d)
-    k, l, m = d.k, d.l, d.m
-    g_x = Element("x", (m - 1) // 2, B // 2, C // 2)
-    g_y = Element("y", A // 2, (k - 1) // 2, d.u)
-    g_z = Element("z", d.v, d.w, (l - 1) // 2)
-    return g_x, g_y, g_z
+    k, l, m, u, v, w = d
+    hk, hl, hm = (k - 1) // 2, (l - 1) // 2, (m - 1) // 2
+    return (Element("x", hm, (w - hk) % k, (hl + u) % l),
+            Element("y", (hm + v) % m, hk, u),
+            Element("z", v, w, hl))
+
+
+def cosets(d: Descriptor) -> tuple[Hnf3, tuple[int, int, int], tuple[Element, ...]]:
+    """The subgroup H as R T: T = H meet Lambda, and one element of H per letter of H.
+
+    T is an Hnf3 over the half-exponents (a, b, c) read in the order pos (G2:
+    the axis, then its plane pair); R starts with the identity.  H is the
+    union of the translation cosets r T over r in R.
+    """
+    if isinstance(d, Z3Descriptor):
+        return d.lattice, (0, 1, 2), (IDENTITY,)
+    if isinstance(d, G2Descriptor):
+        h = d.lattice
+        return (Hnf3(d.k, 0, 0, h.b, h.c, h.a), (_AXIS_POS[d.axis], *_PLANE_POS[d.axis]),
+                (IDENTITY, generators(d)[2]))
+    return Hnf3(d.m, 0, 0, d.k, 0, d.l), (0, 1, 2), (IDENTITY, *generators(d))
 
 
 def contains(d: Descriptor, g: Element) -> bool:
-    """Exact membership test."""
-    if isinstance(d, Z3Descriptor):
-        return g.letter == E and d.lattice.contains(_vec(g))
-    if isinstance(d, G2Descriptor):
-        axis, k, lat = d.axis, d.k, d.lattice
-        vec = _vec(g)
-        p1, p2 = _PLANE_POS[axis]
-        pv = (vec[p1], vec[p2])
-        if g.letter == E:
-            return vec[_AXIS_POS[axis]] % k == 0 and lat.contains(pv)
-        if g.letter == axis:
-            if (2 * vec[_AXIS_POS[axis]] + 1 - k) % (2 * k):
-                return False
-            return lat.contains((pv[0] - d.s, pv[1] - d.t))
-        return False
-    k, l, m = d.k, d.l, d.m
-    A, B, C = _g6_brackets(d)
-    ex, ey, ez = g.exponents()
-    if g.letter == E:
-        return ex % (2 * m) == 0 and ey % (2 * k) == 0 and ez % (2 * l) == 0
-    if g.letter == "x":
-        return (ex - m) % (2 * m) == 0 and (ey - B) % (2 * k) == 0 and (ez - C) % (2 * l) == 0
-    if g.letter == "y":
-        return (ey - k) % (2 * k) == 0 and (ex - A) % (2 * m) == 0 and (ez - 2 * d.u) % (2 * l) == 0
-    return (ez - l) % (2 * l) == 0 and (ex - 2 * d.v) % (2 * m) == 0 and (ey - 2 * d.w) % (2 * k) == 0
+    """Exact membership: g is in r T for the r of R with g's letter, if there is one.
+
+    r^-1 g is the translation g - r, so the test is whether it lies in T.
+    """
+    lattice, pos, reps = cosets(d)
+    for r in reps:
+        if r.letter == g.letter:  # Element fields are (letter, a, b, c)
+            return lattice.contains(tuple(g[p + 1] - r[p + 1] for p in pos))
+    return False
 
 
 def index_of(d: Descriptor) -> int:
-    if isinstance(d, Z3Descriptor):
-        return 4 * d.lattice.index
-    if isinstance(d, G2Descriptor):
-        return 2 * d.k * d.lattice.index
-    return d.k * d.l * d.m
+    """[HW : H] = [HW : Lambda] [Lambda : T] / [H : T] = 4 [Lambda : T] / |R|."""
+    lattice, _, reps = cosets(d)
+    return 4 * lattice.index // len(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +374,7 @@ def conjugate_descriptor(d: Descriptor, v: Element) -> Descriptor:
         return Z3Descriptor(transform3(d.lattice, signs))
     if isinstance(d, G2Descriptor):
         p1, p2 = _PLANE_POS[d.axis]
-        half = _vec(v)
-        s, t = d.s - 2 * half[p1], d.t - 2 * half[p2]
+        s, t = d.s - 2 * v[p1 + 1], d.t - 2 * v[p2 + 1]  # v is (letter, a, b, c)
         lat = d.lattice
         if v.letter != E:
             ds, dt = _G2_LETTER_SHIFT[(_AXIS_POS[v.letter] - _AXIS_POS[d.axis]) % 3]

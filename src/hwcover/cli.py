@@ -52,8 +52,8 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict(obj)
 
 
-# Items per chunk of _emit, encoded by one csv writerows or json.dumps call
-# and written at once.  One call per item is about twice as slow, and one call
+# Items per chunk of _emit (by default), encoded by one csv writerows or
+# json.dumps call and written at once.  One call per item is about twice as slow, and one call
 # for the whole output holds all of its text; 256 JSON objects encode as fast
 # as 1024 and peak at a third of their memory.
 _CHUNK = 256
@@ -75,8 +75,8 @@ def _write_csv(fh, header: Sequence[str], rows) -> int:
     return count
 
 
-def _write_json_list(fh, objs, frame: tuple[str, str] | None = None) -> int:
-    """Write json.dumps(list(objs), indent=2, sort_keys=True) and a newline, a chunk at a time.
+def _write_json_list(fh, objs, frame: tuple[str, str] | None = None, chunk: int = _CHUNK) -> int:
+    """Write json.dumps(list(objs), indent=2, sort_keys=True) + a newline, chunk objects at a time.
 
     json.dumps(indent=2) puts each item of a list on its own lines after "[\n"
     and before "\n]", joined by ",\n", so the chunks' items are joined the
@@ -86,12 +86,12 @@ def _write_json_list(fh, objs, frame: tuple[str, str] | None = None) -> int:
     before, after = frame or ("", "")
     newline = "\n  " if frame else "\n"
     it, count = iter(objs), 0
-    while chunk := list(islice(it, _CHUNK)):
+    while items := list(islice(it, chunk)):
         # json.dumps escapes every newline inside a string, so each raw
         # newline of its text starts a line, and nesting indents them all
-        text = json.dumps(chunk, indent=2, sort_keys=True)[2:-2].replace("\n", newline)
+        text = json.dumps(items, indent=2, sort_keys=True)[2:-2].replace("\n", newline)
         fh.write(("," if count else before + "[") + newline + text)
-        count += len(chunk)
+        count += len(items)
     fh.write((newline + "]" if count else before + "[]") + after + "\n")
     return count
 
@@ -120,18 +120,18 @@ def _output(path: str | None):
 
 
 def _emit(path: str | None, fmt: str, header: Sequence[str], rows=(), objs=None,
-          frame: tuple[str, str] | None = None) -> int:
+          frame: tuple[str, str] | None = None, chunk: int = _CHUNK) -> int:
     """Write a command's output to path (stdout when None); return the number of items.
 
     CSV is the header, then the rows.  JSON is the list of objs (by default the
-    rows keyed by the header), framed as in _write_json_list.
+    rows keyed by the header), framed and chunked as in _write_json_list.
     """
     with _output(path) as fh:
         if fmt == "csv":
             return _write_csv(fh, header, rows)
         if objs is None:
             objs = (dict(zip(header, row)) for row in rows)
-        return _write_json_list(fh, objs, frame)
+        return _write_json_list(fh, objs, frame, chunk)
 
 # ---------------------------------------------------------------------------
 # Subcommands
@@ -175,7 +175,10 @@ def _cmd_classes(args) -> int:
              "representative": catalog.to_json_dict(rep),
              "members": [catalog.to_json_dict(d) for d in catalog.conjugacy_classes([rep])[0]]}
             for rep, size in catalog.iter_classes(args.index, args.type))
-    _emit(args.out, "json", (), objs=objs, frame=tuple(document.split("[]")))
+    # A class has at most n members, as a subgroup lies in its normaliser, so
+    # a chunk of _CHUNK // n classes holds at most _CHUNK member objects.
+    _emit(args.out, "json", (), objs=objs, frame=tuple(document.split("[]")),
+          chunk=max(1, _CHUNK // args.index))
     return 0
 
 

@@ -136,34 +136,20 @@ class Element(NamedTuple):
         )
 
     def inverse(self) -> "Element":
+        """(g lambda)^-1 = g . (-s_g(lambda) - q), where g^2 is the translation q."""
         lt = self.letter
-        if lt == E:
-            return Element(E, -self.a, -self.b, -self.c)
-        # (g lambda)^-1 = g . s_g(-lambda) . g^-2  with g^-2 = one negative unit
-        # at g's own coordinate.
+        _, qa, qb, qc = LETTER_PRODUCT[lt, lt]
         sa, sb, sc = SIGNS[lt]
-        a, b, c = -sa * self.a, -sb * self.b, -sc * self.c
-        if lt == X:
-            return Element(X, a - 1, b, c)
-        if lt == Y:
-            return Element(Y, a, b - 1, c)
-        return Element(Z, a, b, c - 1)
+        return Element(lt, -sa * self.a - qa, -sb * self.b - qb, -sc * self.c - qc)
 
     def conjugated_by(self, v: "Element") -> "Element":
         """g^v = v * g * v**-1 (see the module conjugation convention)."""
         return v * self * v.inverse()
 
     def exponents(self) -> tuple[int, int, int]:
-        """Total exponents of the element at x, y, z."""
-        lt = self.letter
-        ex, ey, ez = 2 * self.a, 2 * self.b, 2 * self.c
-        if lt == X:
-            ex += 1
-        elif lt == Y:
-            ey += 1
-        elif lt == Z:
-            ez += 1
-        return ex, ey, ez
+        """Total exponents at x, y, z: 2 (a, b, c) plus the letter's, the half-exponents of g^2."""
+        _, qa, qb, qc = LETTER_PRODUCT[self.letter, self.letter]
+        return 2 * self.a + qa, 2 * self.b + qb, 2 * self.c + qc
 
     def to_affine(self) -> AffineIso:
         """Faithful affine image (letter isometry, then the translation)."""

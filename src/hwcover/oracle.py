@@ -26,7 +26,8 @@ The descriptor bridge labels each coset in O(1): the subgroup H meets the
 translations in a lattice T and is the union of r T over a transversal R,
 one r per letter of H, so a left coset gH is the union of the translation
 cosets (g r) T.  The one with the least letter, its translation reduced
-mod T, names gH; the right coset Hg is labeled by g^-1 H.
+mod T, names gH; the right coset Hg is labeled by g^-1 H.  T and R are
+read from ``catalog.cosets``, as are the catalog's membership and index.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group Theory",
 chapter 5 (coset enumeration and the low-index subgroups algorithm); Sims,
@@ -45,7 +46,6 @@ from . import catalog
 from .group import (IDENTITY, LETTER_TIMES, LETTERS, RELATOR_WORDS, TOKEN_ELEMENT, Element,
                     parse_word)
 from .catalog import Descriptor, index_of
-from .lattice import Hnf3
 
 # Generator columns x, x^-1, y, y^-1, z, z^-1, one per word token, for every
 # table of the module, searched or relabeled; column g's inverse is g ^ 1.
@@ -212,22 +212,18 @@ def _search(max_index: int) -> list[CosetTable]:
             ))
             return
         c, g = gap
-        for d in range(len(table)):
-            if table[d][g ^ 1] is not None:
+        n = len(table)
+        for d in range(n + (n < max_index)):
+            if d == n:  # a new coset, defined by this entry
+                table.append([None] * _COLS)
+            elif table[d][g ^ 1] is not None:
                 continue
             trail: list[tuple[int, int]] = []
             set_entry(c, g, d, trail)
             if propagate([(c, g)], trail):
                 extend(c, g)
             undo(trail)
-        if len(table) < max_index:
-            table.append([None] * _COLS)
-            trail = []
-            set_entry(c, g, len(table) - 1, trail)
-            if propagate([(c, g)], trail):
-                extend(c, g)
-            undo(trail)
-            table.pop()
+        del table[n:]
 
     extend(0, 0)
     return results
@@ -325,23 +321,15 @@ _INVERSE_GENERATORS = (TOKEN_ELEMENT["X"], TOKEN_ELEMENT["Y"], TOKEN_ELEMENT["Z"
 
 
 def _left_coset_key(d: Descriptor) -> Callable[[Element], tuple]:
-    """Label of the left coset gH of the descriptor's subgroup H, in O(1).
+    """Label of the left coset gH of the descriptor's subgroup H = R T, in O(1).
 
-    T = H meet the translations, read from the Element fields ``pos`` (G2: axis,
-    then its cyclic plane pair); R has one element of H per letter of H.
+    T, the order pos in which it reads the half-exponents, and R, one element
+    of H per letter of H, come from catalog.cosets.
     """
-    if isinstance(d, catalog.Z3Descriptor):
-        lattice, pos, reps = d.lattice, (1, 2, 3), (IDENTITY,)
-    elif isinstance(d, catalog.G2Descriptor):
-        i, h = "xyz".index(d.axis), d.lattice
-        lattice, pos = Hnf3(d.k, 0, 0, h.b, h.c, h.a), (i + 1, (i + 1) % 3 + 1, (i + 2) % 3 + 1)
-        reps = (IDENTITY, catalog.generators(d)[2])
-    else:
-        lattice, pos = Hnf3(d.m, 0, 0, d.k, 0, d.l), (1, 2, 3)
-        reps = (IDENTITY, *catalog.generators(d))
+    lattice, pos, reps = catalog.cosets(d)
     # The letters of g r over r in R are distinct, so the least one decides.
     best = {lt: min(reps, key=lambda r: LETTER_TIMES[lt, r.letter]) for lt in LETTERS}
-    i0, i1, i2 = pos
+    i0, i1, i2 = (p + 1 for p in pos)  # the Element fields are (letter, a, b, c)
 
     def key(g: Element) -> tuple:
         r = best[g.letter]

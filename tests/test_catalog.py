@@ -34,6 +34,7 @@ from hwcover.cli import descriptor_from_csv_row
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTERS, Element, translation
 from hwcover.lattice import Hnf2, Hnf3
 from witnesses import (
+    congruence_contains,
     filtered_normal_counts,
     flip_fixed_count_2d,
     flip_fixed_count_3d,
@@ -153,6 +154,18 @@ def test_generators_lie_in_their_subgroup():
     for d in rng.sample(pool, 120):
         for g in generators(d):
             assert contains(d, g), d
+
+
+def test_contains_agrees_with_the_congruence_witness():
+    # generators, their pairwise products and 20 seeded random elements, n <= 16
+    rng = random.Random(13)
+    for n in range(1, 17):
+        for d in enumerate_index(n):
+            gens = generators(d)
+            elements = [*gens, *(g * h for g in gens for h in gens),
+                        *(random_element(rng) for _ in range(20))]
+            for g in elements:
+                assert contains(d, g) == congruence_contains(d, g), (d, g)
 
 
 def test_generator_triple_product_lands_in_the_translation_core():

@@ -238,7 +238,9 @@ class _HashSink:
     (["count", "--max", "5000", "--format", "json"], 3),
     (["normal", "--max", "2000", "--format", "json"], 2),
     (["series", "--max", "5000", "--out", "PATH"], 4),
-], ids=["csv", "json", "count-json", "normal-json", "series-out"])
+    # 498 classes with their 6,699 members; chunks of 256 classes peak at 11.0 MB.
+    (["classes", "--index", "64", "--format", "json"], 2),
+], ids=["csv", "json", "count-json", "normal-json", "series-out", "classes-json"])
 def test_enumerate_streams_in_bounded_memory(argv, bound_mb, tmp_path, capsys, monkeypatch):
     path = tmp_path / "out.csv"
     argv = [str(path) if arg == "PATH" else arg for arg in argv]

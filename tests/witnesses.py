@@ -6,15 +6,48 @@ and sublattices and conjugating them, so that the tests can compare the two
 routes.  Each returns what it counted and checks nothing itself; the
 ``*_closed_form`` functions give the value the rows predict.
 ``NESTED_DIVISOR_SUMS`` evaluates the named bases of the rows by plain nested
-divisor sums, not by their Euler products.
+divisor sums, not by their Euler products.  ``congruence_contains`` tests
+membership by congruences on the exponents, derived per type by hand, where
+the library reads one coset structure from ``catalog.cosets``.
 """
 
 from typing import NamedTuple
 
 from hwcover import arith, catalog
 from hwcover.arith import d3, d3_alternating, divisors, form_value
-from hwcover.group import GEN_X, GEN_Y, GEN_Z
+from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, Element
 from hwcover.lattice import hnf2_all, hnf2_of, hnf3_all, transform2, transform3
+
+
+def congruence_contains(d: catalog.Descriptor, g: Element) -> bool:
+    """Membership of g in the subgroup of d, by congruences on its exponents."""
+    vec = (g.a, g.b, g.c)
+    if isinstance(d, catalog.Z3Descriptor):
+        return g.letter == E and d.lattice.contains(vec)
+    if isinstance(d, catalog.G2Descriptor):
+        axis, k, lat = d.axis, d.k, d.lattice
+        p1, p2 = catalog._PLANE_POS[axis]
+        pv = (vec[p1], vec[p2])
+        if g.letter == E:
+            return vec[catalog._AXIS_POS[axis]] % k == 0 and lat.contains(pv)
+        if g.letter == axis:
+            if (2 * vec[catalog._AXIS_POS[axis]] + 1 - k) % (2 * k):
+                return False
+            return lat.contains((pv[0] - d.s, pv[1] - d.t))
+        return False
+    k, l, m = d.k, d.l, d.m
+    # reduced translation exponents of the three generators
+    A = (m - 1 + 2 * d.v) % (2 * m)
+    B = (1 - k + 2 * d.w) % (2 * k)
+    C = (l - 1 + 2 * d.u) % (2 * l)
+    ex, ey, ez = g.exponents()
+    if g.letter == E:
+        return ex % (2 * m) == 0 and ey % (2 * k) == 0 and ez % (2 * l) == 0
+    if g.letter == "x":
+        return (ex - m) % (2 * m) == 0 and (ey - B) % (2 * k) == 0 and (ez - C) % (2 * l) == 0
+    if g.letter == "y":
+        return (ey - k) % (2 * k) == 0 and (ex - A) % (2 * m) == 0 and (ez - 2 * d.u) % (2 * l) == 0
+    return (ez - l) % (2 * l) == 0 and (ex - 2 * d.v) % (2 * m) == 0 and (ey - 2 * d.w) % (2 * k) == 0
 
 
 def is_normal(d: catalog.Descriptor) -> bool:
