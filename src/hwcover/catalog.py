@@ -19,8 +19,11 @@ description, realized here by three descriptor records:
 
 Lambda is normal of index 4, so every one of these subgroups H is R T, with
 T = H meet Lambda and R one element of H per letter of H.  ``cosets`` reads
-(T, R) off a descriptor; the membership test ``contains``, the index
-4 [Lambda : T] / |R| of ``index_of`` and the oracle's coset labels read it.
+(T, R) off a descriptor, and it is the only description of H per type.  Its
+readers have no branch per type: ``generators`` (the columns of T past the
+squares of R, then R), ``coset_key`` (the O(1) label of a coset gH, which the
+oracle's bridge uses), ``contains`` (g has the label of H) and ``index_of``
+(4 [Lambda : T] / |R|).
 
 Each type's parametrisation is one loop, in a generator that yields its
 descriptors in canonical order: ``iter_z3``, ``iter_g2`` and ``iter_g6``,
@@ -60,12 +63,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import arith
 from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
                     form_value)
-from .group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, SIGNS, Element
+from .group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTER_TIMES, LETTERS, SIGNS, Element
 from .lattice import Hnf2, Hnf3, hnf2_all, iter_hnf3, transform2, transform3
 
 ISO_TYPES = ("g1", "g2", "g6")
@@ -286,62 +289,64 @@ def enumerate_index(n: int) -> list[Descriptor]:
 
 
 # ---------------------------------------------------------------------------
-# Generators and the coset structure H = R T: membership, index
+# The coset structure H = R T: generators, coset labels, membership, index
 # ---------------------------------------------------------------------------
 
-def _g2_element(letter: str, axis: str, h: int, s: int, t: int) -> Element:
-    """letter . x^(2a) y^(2b) z^(2c) with h at the axis and (s, t) on its plane."""
-    vec = [0, 0, 0]
-    p1, p2 = _PLANE_POS[axis]
-    vec[_AXIS_POS[axis]], vec[p1], vec[p2] = h, s, t
-    return Element(letter, *vec)
-
-
-def generators(d: Descriptor) -> tuple[Element, Element, Element]:
-    """Three elements generating the subgroup."""
-    if isinstance(d, Z3Descriptor):
-        c1, c2, c3 = d.lattice.columns()
-        return Element(E, *c1), Element(E, *c2), Element(E, *c3)
-    if isinstance(d, G2Descriptor):
-        lat = d.lattice
-        return (
-            _g2_element(E, d.axis, 0, lat.b, 0),
-            _g2_element(E, d.axis, 0, lat.c, lat.a),
-            _g2_element(d.axis, d.axis, (d.k - 1) // 2, d.s, d.t),
-        )
-    k, l, m, u, v, w = d
-    hk, hl, hm = (k - 1) // 2, (l - 1) // 2, (m - 1) // 2
-    return (Element("x", hm, (w - hk) % k, (hl + u) % l),
-            Element("y", (hm + v) % m, hk, u),
-            Element("z", v, w, hl))
+def _from_pos(pos: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The half-exponents (a, b, c) whose coordinates read in the order pos are v."""
+    return v[pos.index(0)], v[pos.index(1)], v[pos.index(2)]
 
 
 def cosets(d: Descriptor) -> tuple[Hnf3, tuple[int, int, int], tuple[Element, ...]]:
     """The subgroup H as R T: T = H meet Lambda, and one element of H per letter of H.
 
     T is an Hnf3 over the half-exponents (a, b, c) read in the order pos (G2:
-    the axis, then its plane pair); R starts with the identity.  H is the
-    union of the translation cosets r T over r in R.
+    the axis, then its plane pair).  R starts with the identity, and the
+    squares of its other elements are the leading columns of T, in order.  H
+    is the union of the translation cosets r T over r in R.
     """
     if isinstance(d, Z3Descriptor):
         return d.lattice, (0, 1, 2), (IDENTITY,)
     if isinstance(d, G2Descriptor):
-        h = d.lattice
-        return (Hnf3(d.k, 0, 0, h.b, h.c, h.a), (_AXIS_POS[d.axis], *_PLANE_POS[d.axis]),
-                (IDENTITY, generators(d)[2]))
-    return Hnf3(d.m, 0, 0, d.k, 0, d.l), (0, 1, 2), (IDENTITY, *generators(d))
+        h, pos = d.lattice, (_AXIS_POS[d.axis], *_PLANE_POS[d.axis])
+        return (Hnf3(d.k, 0, 0, h.b, h.c, h.a), pos,
+                (IDENTITY, Element(d.axis, *_from_pos(pos, ((d.k - 1) // 2, d.s, d.t)))))
+    k, l, m, u, v, w = d
+    hk, hl, hm = (k - 1) // 2, (l - 1) // 2, (m - 1) // 2
+    return (Hnf3(m, 0, 0, k, 0, l), (0, 1, 2),
+            (IDENTITY, Element("x", hm, (w - hk) % k, (hl + u) % l),
+             Element("y", (hm + v) % m, hk, u), Element("z", v, w, hl)))
+
+
+def generators(d: Descriptor) -> tuple[Element, Element, Element]:
+    """Three elements generating R T: the columns of T after the squares of R[1:], then R[1:]."""
+    lattice, pos, reps = cosets(d)
+    return (*(Element(E, *_from_pos(pos, col)) for col in lattice.columns()[len(reps) - 1:]),
+            *reps[1:])
+
+
+def coset_key(d: Descriptor) -> Callable[[Element], tuple]:
+    """Label of the left coset gH of the descriptor's subgroup H = R T, in O(1).
+
+    gH is the union of the translation cosets (g r) T over r in R; the one
+    with the least letter, its translation reduced mod T, names gH.
+    """
+    lattice, pos, reps = cosets(d)
+    # The letters of g r over r in R are distinct, so the least one decides.
+    best = {lt: min(reps, key=lambda r: LETTER_TIMES[lt, r.letter]) for lt in LETTERS}
+    i0, i1, i2 = (p + 1 for p in pos)  # the Element fields are (letter, a, b, c)
+
+    def key(g: Element) -> tuple:
+        r = best[g.letter]
+        if r is not IDENTITY:
+            g = g * r
+        return (g.letter, *lattice.reduce_coset((g[i0], g[i1], g[i2])))
+    return key
 
 
 def contains(d: Descriptor, g: Element) -> bool:
-    """Exact membership: g is in r T for the r of R with g's letter, if there is one.
-
-    r^-1 g is the translation g - r, so the test is whether it lies in T.
-    """
-    lattice, pos, reps = cosets(d)
-    for r in reps:
-        if r.letter == g.letter:  # Element fields are (letter, a, b, c)
-            return lattice.contains(tuple(g[p + 1] - r[p + 1] for p in pos))
-    return False
+    """Exact membership: g is in H exactly when gH = H, whose label is (E, 0, 0, 0)."""
+    return coset_key(d)(g) == (E, 0, 0, 0)
 
 
 def index_of(d: Descriptor) -> int:
@@ -439,8 +444,8 @@ def _z3_classes(n: int) -> Iterator[Class]:
     yielded at its least member.
     """
     for d in iter_z3(n):
-        images = {d.lattice, *(transform3(d.lattice, SIGNS[letter]) for letter in AXES)}
-        if min(images) == d.lattice:
+        images = {d, *(conjugate_descriptor(d, g) for g in _CONJUGATORS)}
+        if min(images) == d:
             yield d, len(images)
 
 
@@ -632,6 +637,8 @@ def _int_field(obj: dict, tag: str, field: str) -> int:
 
 def from_json_dict(obj: dict) -> Descriptor:
     """Parse a descriptor; a ValueError names a missing, non-integer, bad or unknown field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a descriptor must be an object of fields, not {type(obj).__name__}")
     tag = obj.get("type")
     if tag not in _FIELD_RANGES:
         raise ValueError(f"descriptor field 'type' = {tag!r} must be z3, g2 or g6")

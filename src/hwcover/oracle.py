@@ -22,12 +22,12 @@ forms of its class members, so each class is relabeled once, for its first
 member seen; forms are plain tuples, and only tables handed out of the
 module are validated.
 
-The descriptor bridge labels each coset in O(1): the subgroup H meets the
-translations in a lattice T and is the union of r T over a transversal R,
-one r per letter of H, so a left coset gH is the union of the translation
-cosets (g r) T.  The one with the least letter, its translation reduced
-mod T, names gH; the right coset Hg is labeled by g^-1 H.  T and R are
-read from ``catalog.cosets``, as are the catalog's membership and index.
+The descriptor bridge labels each coset in O(1) with ``catalog.coset_key``:
+the subgroup H meets the translations in a lattice T and is the union of
+r T over a transversal R, one r per letter of H, so a left coset gH is the
+union of the translation cosets (g r) T, and the one with the least letter,
+its translation reduced mod T, names gH.  The right coset Hg is labeled by
+g^-1 H.  The catalog's membership test reads the same label.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group Theory",
 chapter 5 (coset enumeration and the low-index subgroups algorithm); Sims,
@@ -40,11 +40,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import catalog
-from .group import (IDENTITY, LETTER_TIMES, LETTERS, RELATOR_WORDS, TOKEN_ELEMENT, Element,
-                    parse_word)
+from .group import IDENTITY, RELATOR_WORDS, TOKEN_ELEMENT, Element, parse_word
 from .catalog import Descriptor, index_of
 
 # Generator columns x, x^-1, y, y^-1, z, z^-1, one per word token, for every
@@ -282,7 +281,9 @@ def _base_form(t: CosetTable) -> tuple[int, ...]:
 
 
 def canonical_table(t: CosetTable, base: int = 0) -> CosetTable:
-    """Relabel cosets by breadth-first order from base."""
+    """Relabel cosets by breadth-first order from base, one of the cosets 0 .. degree - 1."""
+    if base not in range(t.degree):
+        raise ValueError(f"base {base!r} is not a coset of a table of degree {t.degree}")
     form, n = next(_relabelings(t, (base,))), t.degree
     return CosetTable(form[:n], form[n:2 * n], form[2 * n:])
 
@@ -320,25 +321,6 @@ class EnumerationError(RuntimeError):
 _INVERSE_GENERATORS = (TOKEN_ELEMENT["X"], TOKEN_ELEMENT["Y"], TOKEN_ELEMENT["Z"])
 
 
-def _left_coset_key(d: Descriptor) -> Callable[[Element], tuple]:
-    """Label of the left coset gH of the descriptor's subgroup H = R T, in O(1).
-
-    T, the order pos in which it reads the half-exponents, and R, one element
-    of H per letter of H, come from catalog.cosets.
-    """
-    lattice, pos, reps = catalog.cosets(d)
-    # The letters of g r over r in R are distinct, so the least one decides.
-    best = {lt: min(reps, key=lambda r: LETTER_TIMES[lt, r.letter]) for lt in LETTERS}
-    i0, i1, i2 = (p + 1 for p in pos)  # the Element fields are (letter, a, b, c)
-
-    def key(g: Element) -> tuple:
-        r = best[g.letter]
-        if r is not IDENTITY:
-            g = g * r
-        return (g.letter, *lattice.reduce_coset((g[i0], g[i1], g[i2])))
-    return key
-
-
 def descriptor_to_table(d: Descriptor) -> CosetTable:
     """Permutation action on the right cosets of the descriptor's subgroup.
 
@@ -350,7 +332,7 @@ def descriptor_to_table(d: Descriptor) -> CosetTable:
     e.g. under fault injection).
     """
     expected = index_of(d)
-    key = _left_coset_key(d)
+    key = catalog.coset_key(d)
     inverses: list[Element] = [IDENTITY]  # g^-1 of each coset Hg, in BFS order
     labels = {key(IDENTITY): 0}
     images: tuple[list[int], ...] = ([], [], [])

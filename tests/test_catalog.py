@@ -146,6 +146,22 @@ def test_generator_examples():
     assert gy == Element("y", 0, 1, 0)
     assert gz == Element("z", 0, 1, 0)
     assert gx * gy * gz == IDENTITY
+    # G2 on axis y: the plane (z, x) holds H with columns (2, 0), (1, 1), and y^3 z^2 its letter
+    assert generators(G2Descriptor("y", 3, Hnf2(2, 1, 1), 1, 0)) == (
+        translation(0, 0, 2), translation(1, 0, 1), Element("y", 0, 1, 1))
+
+
+def test_letter_representatives_square_to_the_leading_columns():
+    # generators reads T's columns past the first |R| - 1 as translations, relying on this
+    for n in range(1, 33):
+        for d in enumerate_index(n):
+            lattice, pos, reps = catalog.cosets(d)
+            assert len(reps) in (1, 2, 4), d
+            for r, col in zip(reps[1:], lattice.columns()):
+                vec = [0, 0, 0]
+                for p, x in zip(pos, col):
+                    vec[p] = x
+                assert r * r == translation(*vec), d
 
 
 def test_generators_lie_in_their_subgroup():
@@ -468,6 +484,12 @@ def test_descriptor_outside_canonical_ranges_rejected(obj, field):
         from_json_dict(obj)
     with pytest.raises(ValueError, match=field):
         descriptor_from_csv_row({key: str(val) for key, val in obj.items()})
+
+
+@pytest.mark.parametrize("obj, name", [([], "list"), ("z3", "str"), (None, "NoneType")])
+def test_descriptor_that_is_not_an_object_rejected(obj, name):
+    with pytest.raises(ValueError, match=f"not {name}$"):
+        from_json_dict(obj)
 
 
 def test_sieved_count_arrays_match_the_per_n_formulas():

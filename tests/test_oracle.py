@@ -157,6 +157,13 @@ def test_canonical_table_is_relabeling_invariant():
         assert canonical_table(shuffled, perm[0]) == canonical_table(t, 0)
 
 
+@pytest.mark.parametrize("base", [-1, 4, 7])
+def test_canonical_table_rejects_a_base_outside_the_cosets(base):
+    t = low_index(4, search_limit=4)[0]
+    with pytest.raises(ValueError, match=f"base {base} .* degree 4"):
+        canonical_table(t, base)
+
+
 def test_searched_tables_are_standardized():
     # cross_check takes a searched table's base-0 form to be x + y + z as it stands
     for n in range(1, 25):
