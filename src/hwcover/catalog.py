@@ -25,13 +25,17 @@ squares of R, then R), ``coset_key`` (the O(1) label of a coset gH, which the
 oracle's bridge uses), ``contains`` (g has the label of H) and ``index_of``
 (4 [Lambda : T] / |R|).
 
-Each type's parametrisation is one loop, in a generator that yields its
-descriptors in canonical order: ``iter_z3``, ``iter_g2`` and ``iter_g6``,
-picked by ``iter_iso`` and chained by ``iter_index``.  A caller that only
-walks the descriptors, such as the ``enumerate`` command, holds one at a
-time.  ``enumerate_z3``, ``enumerate_g2``, ``enumerate_g6``,
-``enumerate_iso`` and ``enumerate_index`` are the same descriptors as
-lists, for callers that index, sample or take the length of them.
+Each type's parametrisation is one block walk, ``iter_blocks``: in
+canonical order, the parameters fixed within a block and the cells that
+vary in it.  The Z^3-type subgroups are one block of lattices, a G2 plane
+(axis, k, H) has the cells (s, t), a G6 box (k, l, m) the cells (u, v, w).
+``iter_iso`` reads the descriptors off the blocks (``iter_z3``, ``iter_g2``
+and ``iter_g6`` per type, chained by ``iter_index``) and holds one at a
+time; the ``enumerate`` command formats its CSV lines from the blocks and
+builds no descriptor.  ``enumerate_z3``, ``enumerate_g2``,
+``enumerate_g6``, ``enumerate_iso`` and ``enumerate_index`` are the same
+descriptors as lists, for callers that index, sample or take the length of
+them.
 
 Conjugation of descriptors is computed exactly by closed-form affine maps on
 the parameters; these formulas are the implementation.  The group arithmetic
@@ -61,8 +65,10 @@ class-size splits are witnesses in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, product, starmap
 from math import gcd
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import arith
@@ -204,62 +210,77 @@ def _odd_divisors(n: int) -> list[int]:
     return [d for d in divisors(n) if d % 2]
 
 
-def iter_z3(n: int) -> Iterator[Z3Descriptor]:
-    """Every index-n subgroup isomorphic to Z^3 (none unless 4 | n), one at a time."""
-    if n < 1 or n % 4:
-        return
-    for h in iter_hnf3(n // 4):
-        yield Z3Descriptor(h)
+Block = tuple[tuple, Iterator[tuple]]  # (params, cells): the descriptors params + cell
 
 
-def _g2_planes(n: int) -> Iterator[tuple[str, int, Hnf2]]:
-    """(axis, k, H) of the index-n G2-type subgroups, in increasing order (n even only)."""
+def _z3_blocks(n: int) -> Iterator[Block]:
+    """One block: the index-n/4 lattices, as 1-tuples (none unless 4 | n)."""
+    if n >= 1 and n % 4 == 0:
+        yield (), zip(iter_hnf3(n // 4))
+
+
+def _g2_blocks(n: int) -> Iterator[Block]:
+    """Per plane (axis, k, H), in increasing order, the transversal (s, t) of H (n even only)."""
     if n < 1 or n % 2:
         return
     q = n // 2
     for axis in AXES:
         for k in _odd_divisors(q):
             for lat in hnf2_all(q // k):
-                yield axis, k, lat
+                yield (axis, k, lat), product(range(lat.b), range(lat.a))
 
 
-def _g6_boxes(n: int) -> Iterator[tuple[int, int, int]]:
-    """Odd (k, l, m) with k * l * m = n, in increasing order (n odd only)."""
+def _g6_blocks(n: int) -> Iterator[Block]:
+    """Per odd box (k, l, m) with k * l * m = n, in increasing order, its (u, v, w) (n odd only)."""
     if n < 1 or n % 2 == 0:
         return
     for k in _odd_divisors(n):
         for l in _odd_divisors(n // k):
-            yield k, l, n // (k * l)
+            m = n // (k * l)
+            yield (k, l, m), product(range(l), range(m), range(k))
+
+
+_BLOCKS = {"g1": _z3_blocks, "g2": _g2_blocks, "g6": _g6_blocks}
+
+
+def iter_blocks(iso: str, n: int) -> Iterator[Block]:
+    """The index-n subgroups of one type as blocks (params, cells), in canonical order.
+
+    The descriptors of a block are params + cell for each of its cells, in
+    order: only the cells vary within a block.
+    """
+    return _BLOCKS[_known_iso(iso)](n)
+
+
+_DESCRIPTORS = {"g1": Z3Descriptor, "g2": G2Descriptor, "g6": G6Descriptor}
+
+
+def iter_iso(iso: str, n: int) -> Iterator[Descriptor]:
+    """Every index-n subgroup of one type, one at a time, read off iter_blocks."""
+    make = _DESCRIPTORS[_known_iso(iso)]
+    return chain.from_iterable(starmap(partial(make, *params), cells)
+                               for params, cells in iter_blocks(iso, n))
+
+
+def iter_z3(n: int) -> Iterator[Z3Descriptor]:
+    """Every index-n subgroup isomorphic to Z^3 (none unless 4 | n)."""
+    return iter_iso("g1", n)
 
 
 def iter_g2(n: int) -> Iterator[G2Descriptor]:
     """Every index-n subgroup isomorphic to the dicosm group (n even only)."""
-    for axis, k, lat in _g2_planes(n):
-        for s in range(lat.b):
-            for t in range(lat.a):
-                yield G2Descriptor(axis, k, lat, s, t)
+    return iter_iso("g2", n)
 
 
 def iter_g6(n: int) -> Iterator[G6Descriptor]:
     """Every index-n subgroup isomorphic to the whole group (n odd only)."""
-    for k, l, m in _g6_boxes(n):
-        for u in range(l):
-            for v in range(m):
-                for w in range(k):
-                    yield G6Descriptor(k, l, m, u, v, w)
-
-
-_ITERATORS = {"g1": iter_z3, "g2": iter_g2, "g6": iter_g6}
-
-
-def iter_iso(iso: str, n: int) -> Iterator[Descriptor]:
-    return _ITERATORS[_known_iso(iso)](n)
+    return iter_iso("g6", n)
 
 
 def iter_index(n: int) -> Iterator[Descriptor]:
     """Every index-n subgroup in sort_key order: z3 block first, then g2, then g6.
 
-    Every generator yields its parameters in increasing order, so no sort is needed.
+    Every block walk yields its parameters in increasing order, so no sort is needed.
     """
     return chain(iter_z3(n), iter_g2(n), iter_g6(n))
 
@@ -325,23 +346,38 @@ def generators(d: Descriptor) -> tuple[Element, Element, Element]:
             *reps[1:])
 
 
+# The letters of R, in R's order, are a subgroup of the Klein group: {e}, {e, axis}
+# or all four.  For each, and each letter of g: the position in R of the r that
+# gives g r the least letter.  The letters of g r over r in R are distinct, so
+# that r names the coset gH.
+_LEAST_REP = {letters: {lt: min(range(len(letters)), key=lambda i: LETTER_TIMES[lt, letters[i]])
+                        for lt in LETTERS}
+              for letters in ((E,), *((E, axis) for axis in AXES), (E, *AXES))}
+_LETTER = attrgetter("letter")
+
+
+def _coset_labels(d: Descriptor) -> tuple[Callable[[Element], tuple], int]:
+    """coset_key(d) and index_of(d), read from one coset structure."""
+    lattice, pos, reps = cosets(d)
+    least = _LEAST_REP[tuple(map(_LETTER, reps))]
+    i0, i1, i2 = pos[0] + 1, pos[1] + 1, pos[2] + 1  # the Element fields are (letter, a, b, c)
+
+    def key(g: Element) -> tuple:
+        r = reps[least[g.letter]]
+        if r is not IDENTITY:
+            g = g * r
+        return (g.letter, *lattice.reduce_coset((g[i0], g[i1], g[i2])))
+    # [HW : H] = [HW : Lambda] [Lambda : T] / [H : T] = 4 [Lambda : T] / |R|
+    return key, 4 * lattice.index // len(reps)
+
+
 def coset_key(d: Descriptor) -> Callable[[Element], tuple]:
     """Label of the left coset gH of the descriptor's subgroup H = R T, in O(1).
 
     gH is the union of the translation cosets (g r) T over r in R; the one
     with the least letter, its translation reduced mod T, names gH.
     """
-    lattice, pos, reps = cosets(d)
-    # The letters of g r over r in R are distinct, so the least one decides.
-    best = {lt: min(reps, key=lambda r: LETTER_TIMES[lt, r.letter]) for lt in LETTERS}
-    i0, i1, i2 = (p + 1 for p in pos)  # the Element fields are (letter, a, b, c)
-
-    def key(g: Element) -> tuple:
-        r = best[g.letter]
-        if r is not IDENTITY:
-            g = g * r
-        return (g.letter, *lattice.reduce_coset((g[i0], g[i1], g[i2])))
-    return key
+    return _coset_labels(d)[0]
 
 
 def contains(d: Descriptor, g: Element) -> bool:
@@ -350,9 +386,8 @@ def contains(d: Descriptor, g: Element) -> bool:
 
 
 def index_of(d: Descriptor) -> int:
-    """[HW : H] = [HW : Lambda] [Lambda : T] / [H : T] = 4 [Lambda : T] / |R|."""
-    lattice, _, reps = cosets(d)
-    return 4 * lattice.index // len(reps)
+    """[HW : H], the number of cosets that coset_key labels."""
+    return _coset_labels(d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +514,7 @@ def _g2_classes(n: int) -> Iterator[Class]:
     representative there.  Every K-coset holds [K : H] cosets of H, and its
     least member has s, t < 2, since K contains 2Z^2.
     """
-    for axis, k, lat in _g2_planes(n):
+    for (axis, k, lat), _ in _g2_blocks(n):
         if transform2(lat, (1, -1)) < lat:
             continue
         key = _g2_key_lattice(lat)
@@ -499,7 +534,7 @@ def _g2_classes(n: int) -> Iterator[Class]:
 
 def _g6_classes(n: int) -> Iterator[Class]:
     """One class per (k, l, m): conjugation reaches every (u, v, w)."""
-    for k, l, m in _g6_boxes(n):
+    for (k, l, m), _ in _g6_blocks(n):
         yield G6Descriptor(k, l, m, 0, 0, 0), n
 
 

@@ -10,8 +10,12 @@ Subcommands::
     verify     three-way verification report (closed form / catalog / oracle)
 
 Every command writes through one chunked writer, _emit, as its rows are
-produced.  Exit codes: 0 success (verify: everything matches), 1 verification
-mismatch, 2 usage or I/O error.  Output is deterministic byte-for-byte.
+produced.  ``enumerate --format csv`` builds no descriptors: it formats the
+fixed part of its lines once per block of ``catalog.iter_blocks`` (a G2
+plane, a G6 box), appends the cells that vary within the block, and _emit
+joins the lines 256 at a time.  Exit codes: 0 success (verify: everything
+matches), 1 verification mismatch, 2 usage or I/O error.  Output is
+deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 from . import catalog, oracle
 
@@ -32,19 +36,44 @@ _CSV_FIELDS = ["type", "axis", "k", "l", "m", "u", "v", "w",
                "b", "c", "a", "e", "f", "d", "s", "t"]
 
 
-def _csv_row(d: catalog.Descriptor) -> tuple:
-    """The cells of d under _CSV_FIELDS; a field the type does not have is empty."""
-    if isinstance(d, catalog.Z3Descriptor):
-        lat = d.lattice
-        return ("z3", "", "", "", "", "", "", "", lat.b, lat.c, lat.a, lat.e, lat.f, lat.d, "", "")
-    if isinstance(d, catalog.G2Descriptor):
-        lat = d.lattice
-        return ("g2", d.axis, d.k, "", "", "", "", "", lat.b, lat.c, lat.a, "", "", "", d.s, d.t)
-    return ("g6", "", d.k, d.l, d.m, d.u, d.v, d.w, "", "", "", "", "", "", "", "")
+# The CSV lines of one block of catalog.iter_blocks, per type: the head is
+# formatted once from the block's params, then one line per cell.  Every
+# field is an int or one of z3 g2 g6 x y z, so csv's minimal quoting never
+# applies: these are the bytes csv.writer writes for the same cells.
+
+def _z3_lines(params: tuple, cells) -> Iterator[str]:
+    return (f"z3,,,,,,,,{lat.b},{lat.c},{lat.a},{lat.e},{lat.f},{lat.d},,\n" for lat, in cells)
+
+
+def _g2_lines(params: tuple, cells) -> Iterator[str]:
+    axis, k, lat = params
+    head = f"g2,{axis},{k},,,,,,{lat.b},{lat.c},{lat.a},,,,"
+    return (f"{head}{s},{t}\n" for s, t in cells)
+
+
+def _g6_lines(params: tuple, cells) -> Iterator[str]:
+    k, l, m = params
+    head = f"g6,,{k},{l},{m},"
+    return (f"{head}{u},{v},{w},,,,,,,,\n" for u, v, w in cells)
+
+
+# Per type: the lines of a block, and the number of params a descriptor starts with.
+_LINES = {"g1": (_z3_lines, 0), "g2": (_g2_lines, 3), "g6": (_g6_lines, 3)}
+
+
+def _csv_lines(n: int, isos: Sequence[str]) -> Iterator[str]:
+    """The CSV lines of the index-n descriptors of the given types, without building one."""
+    for iso in isos:
+        lines = _LINES[iso][0]
+        for params, cells in catalog.iter_blocks(iso, n):
+            yield from lines(params, cells)
 
 
 def _descriptor_csv_row(d: catalog.Descriptor) -> dict:
-    return dict(zip(_CSV_FIELDS, _csv_row(d)))
+    """The cells of d under _CSV_FIELDS, as text; a field the type does not have is empty."""
+    lines, split = _LINES[catalog.iso_of(d)]
+    line, = lines(d[:split], (d[split:],))
+    return dict(zip(_CSV_FIELDS, line[:-1].split(",")))
 
 
 def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
@@ -119,16 +148,29 @@ def _output(path: str | None):
         raise SystemExit(2)
 
 
+def _write_lines(fh, lines) -> int:
+    """Write lines of text, joined a chunk at a time; return their number."""
+    it, count = iter(lines), 0
+    while chunk := list(islice(it, _CHUNK)):
+        fh.write("".join(chunk))
+        count += len(chunk)
+    return count
+
+
 def _emit(path: str | None, fmt: str, header: Sequence[str], rows=(), objs=None,
-          frame: tuple[str, str] | None = None, chunk: int = _CHUNK) -> int:
+          frame: tuple[str, str] | None = None, chunk: int = _CHUNK, lines=None) -> int:
     """Write a command's output to path (stdout when None); return the number of items.
 
-    CSV is the header, then the rows.  JSON is the list of objs (by default the
-    rows keyed by the header), framed and chunked as in _write_json_list.
+    CSV is the header, then the rows, or the given lines, already CSV text.
+    JSON is the list of objs (by default the rows keyed by the header),
+    framed and chunked as in _write_json_list.
     """
     with _output(path) as fh:
-        if fmt == "csv":
+        if fmt == "csv" and lines is None:
             return _write_csv(fh, header, rows)
+        if fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            return _write_lines(fh, lines)
         if objs is None:
             objs = (dict(zip(header, row)) for row in rows)
         return _write_json_list(fh, objs, frame, chunk)
@@ -148,13 +190,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.type:
-        ds = catalog.iter_iso(args.type, args.index)
+    isos = (args.type,) if args.type else catalog.ISO_TYPES
+    if args.format == "csv":
+        count = _emit(args.out, "csv", _CSV_FIELDS, lines=_csv_lines(args.index, isos))
     else:
-        ds = catalog.iter_index(args.index)
-    # both maps are lazy; _emit walks the one of its format
-    count = _emit(args.out, args.format, _CSV_FIELDS, map(_csv_row, ds),
-                  map(catalog.to_json_dict, ds))
+        ds = chain.from_iterable(catalog.iter_iso(iso, args.index) for iso in isos)
+        count = _emit(args.out, "json", (), objs=map(catalog.to_json_dict, ds))
     print(f"enumerate: index={args.index} type={args.type or 'all'} count={count}",
           file=sys.stderr)
     return 0

@@ -22,11 +22,12 @@ forms of its class members, so each class is relabeled once, for its first
 member seen; forms are plain tuples, and only tables handed out of the
 module are validated.
 
-The descriptor bridge labels each coset in O(1) with ``catalog.coset_key``:
-the subgroup H meets the translations in a lattice T and is the union of
-r T over a transversal R, one r per letter of H, so a left coset gH is the
-union of the translation cosets (g r) T, and the one with the least letter,
-its translation reduced mod T, names gH.  The right coset Hg is labeled by
+The descriptor bridge labels each coset in O(1) with ``catalog.coset_key``,
+which it reads with the index from one coset structure: the subgroup H
+meets the translations in a lattice T and is the union of r T over a
+transversal R, one r per letter of H, so a left coset gH is the union of
+the translation cosets (g r) T, and the one with the least letter, its
+translation reduced mod T, names gH.  The right coset Hg is labeled by
 g^-1 H.  The catalog's membership test reads the same label.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group Theory",
@@ -44,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import catalog
 from .group import IDENTITY, RELATOR_WORDS, TOKEN_ELEMENT, Element, parse_word
-from .catalog import Descriptor, index_of
+from .catalog import Descriptor
 
 # Generator columns x, x^-1, y, y^-1, z, z^-1, one per word token, for every
 # table of the module, searched or relabeled; column g's inverse is g ^ 1.
@@ -331,8 +332,7 @@ def descriptor_to_table(d: Descriptor) -> CosetTable:
     does not give a valid table (a diagnostic for inconsistent parameters,
     e.g. under fault injection).
     """
-    expected = index_of(d)
-    key = catalog.coset_key(d)
+    key, expected = catalog._coset_labels(d)
     inverses: list[Element] = [IDENTITY]  # g^-1 of each coset Hg, in BFS order
     labels = {key(IDENTITY): 0}
     images: tuple[list[int], ...] = ([], [], [])

@@ -14,7 +14,8 @@ import pytest
 
 import hwcover
 from hwcover import catalog
-from hwcover.cli import descriptor_from_csv_row, main
+from hwcover.cli import _descriptor_csv_row, descriptor_from_csv_row, main
+from witnesses import descriptor_csv
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,21 @@ def test_enumerate_csv_round_trip(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     parsed = [descriptor_from_csv_row(row) for row in rows]
     assert parsed == catalog.enumerate_index(8)
+
+
+def test_enumerate_csv_matches_the_descriptor_route(capsys):
+    # The command formats its lines from the parameter blocks; the witness
+    # writes the cells of each descriptor through csv.writer.
+    for n in range(1, 49):
+        for iso in (None, *catalog.ISO_TYPES):
+            ds = catalog.enumerate_index(n) if iso is None else catalog.enumerate_iso(iso, n)
+            type_args = () if iso is None else ("--type", iso)
+            code, out, err = run_cli(capsys, "enumerate", "--index", str(n), *type_args)
+            assert code == 0
+            assert out == descriptor_csv(ds), (n, iso)
+            assert err == f"enumerate: index={n} type={iso or 'all'} count={len(ds)}\n"
+            for d in ds:
+                assert descriptor_from_csv_row(_descriptor_csv_row(d)) == d
 
 
 def test_enumerate_empty(capsys):
@@ -175,6 +191,10 @@ def test_enumerate_bytes_pinned(tmp_path, capsys):
     pinned = {
         ("--index", "96"):
             "91548c4a1694f90789fe19723c94cd8357edf05fc7f2358b576a0a0d524aa9c4",
+        ("--index", "96", "--type", "g1"):
+            "c6b934452dd380f4d74514907757230021533a97ee6010f01cf0f5167813b1c1",
+        ("--index", "96", "--type", "g2"):
+            "d59b25244cba3217201a90c8ef8c310dfb3cf7120cce826523ee7375e4263a15",
         ("--index", "45", "--type", "g6"):
             "7b53671cb233a86846365767abb6545f97d8ccfe90b8cda5a299e54e5094375b",
         ("--index", "48", "--format", "json"):
@@ -234,13 +254,15 @@ class _HashSink:
     # output before writing it peaks at 4.5 MB (CSV) and 36.7 MB (JSON).
     (["enumerate", "--index", "96"], 2),
     (["enumerate", "--index", "96", "--format", "json"], 2),
+    # 5,103 rows in 21 G6 boxes of 243 rows each (k l m = n).
+    (["enumerate", "--index", "243"], 2),
     # Building the rows and the whole text first peaks at 10.9, 7.8 and 8.2 MB.
     (["count", "--max", "5000", "--format", "json"], 3),
     (["normal", "--max", "2000", "--format", "json"], 2),
     (["series", "--max", "5000", "--out", "PATH"], 4),
     # 498 classes with their 6,699 members; chunks of 256 classes peak at 11.0 MB.
     (["classes", "--index", "64", "--format", "json"], 2),
-], ids=["csv", "json", "count-json", "normal-json", "series-out", "classes-json"])
+], ids=["csv", "json", "csv-odd", "count-json", "normal-json", "series-out", "classes-json"])
 def test_enumerate_streams_in_bounded_memory(argv, bound_mb, tmp_path, capsys, monkeypatch):
     path = tmp_path / "out.csv"
     argv = [str(path) if arg == "PATH" else arg for arg in argv]

@@ -9,11 +9,16 @@ routes.  Each returns what it counted and checks nothing itself; the
 divisor sums, not by their Euler products.  ``congruence_contains`` tests
 membership by congruences on the exponents, derived per type by hand, where
 the library reads one coset structure from ``catalog.cosets``.
+``descriptor_csv`` writes the ``enumerate`` CSV by ``csv.writer`` over the
+cells of each descriptor, where the command formats its lines from the
+catalog's parameter blocks.
 """
 
-from typing import NamedTuple
+import csv
+import io
+from typing import Iterable, NamedTuple
 
-from hwcover import arith, catalog
+from hwcover import arith, catalog, cli
 from hwcover.arith import d3, d3_alternating, divisors, form_value
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, Element
 from hwcover.lattice import hnf2_all, hnf2_of, hnf3_all, transform2, transform3
@@ -48,6 +53,26 @@ def congruence_contains(d: catalog.Descriptor, g: Element) -> bool:
     if g.letter == "y":
         return (ey - k) % (2 * k) == 0 and (ex - A) % (2 * m) == 0 and (ez - 2 * d.u) % (2 * l) == 0
     return (ez - l) % (2 * l) == 0 and (ex - 2 * d.v) % (2 * m) == 0 and (ey - 2 * d.w) % (2 * k) == 0
+
+
+def _csv_cells(d: catalog.Descriptor) -> tuple:
+    """The cells of d under cli._CSV_FIELDS; a field the type does not have is empty."""
+    if isinstance(d, catalog.Z3Descriptor):
+        lat = d.lattice
+        return ("z3", "", "", "", "", "", "", "", lat.b, lat.c, lat.a, lat.e, lat.f, lat.d, "", "")
+    if isinstance(d, catalog.G2Descriptor):
+        lat = d.lattice
+        return ("g2", d.axis, d.k, "", "", "", "", "", lat.b, lat.c, lat.a, "", "", "", d.s, d.t)
+    return ("g6", "", d.k, d.l, d.m, d.u, d.v, d.w, "", "", "", "", "", "", "", "")
+
+
+def descriptor_csv(ds: Iterable[catalog.Descriptor]) -> str:
+    """The enumerate CSV of the descriptors: the header, then csv.writer over each one's cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli._CSV_FIELDS)
+    writer.writerows(map(_csv_cells, ds))
+    return buf.getvalue()
 
 
 def is_normal(d: catalog.Descriptor) -> bool:
