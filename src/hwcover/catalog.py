@@ -29,10 +29,9 @@ Each type's parametrisation is one block walk, ``iter_blocks``: in
 canonical order, the parameters fixed within a block and the cells that
 vary in it.  The Z^3-type subgroups are one block of lattices, a G2 plane
 (axis, k, H) has the cells (s, t), a G6 box (k, l, m) the cells (u, v, w).
-``iter_iso`` reads the descriptors off the blocks (``iter_z3``, ``iter_g2``
-and ``iter_g6`` per type, chained by ``iter_index``) and holds one at a
-time; the ``enumerate`` command formats its CSV lines from the blocks and
-builds no descriptor.  ``enumerate_z3``, ``enumerate_g2``,
+``iter_iso`` reads the descriptors of one type off the blocks and holds one
+at a time; the ``enumerate`` command formats its CSV lines from the blocks
+and builds no descriptor.  ``enumerate_z3``, ``enumerate_g2``,
 ``enumerate_g6``, ``enumerate_iso`` and ``enumerate_index`` are the same
 descriptors as lists, for callers that index, sample or take the length of
 them.
@@ -262,39 +261,19 @@ def iter_iso(iso: str, n: int) -> Iterator[Descriptor]:
                                for params, cells in iter_blocks(iso, n))
 
 
-def iter_z3(n: int) -> Iterator[Z3Descriptor]:
-    """Every index-n subgroup isomorphic to Z^3 (none unless 4 | n)."""
-    return iter_iso("g1", n)
-
-
-def iter_g2(n: int) -> Iterator[G2Descriptor]:
-    """Every index-n subgroup isomorphic to the dicosm group (n even only)."""
-    return iter_iso("g2", n)
-
-
-def iter_g6(n: int) -> Iterator[G6Descriptor]:
-    """Every index-n subgroup isomorphic to the whole group (n odd only)."""
-    return iter_iso("g6", n)
-
-
-def iter_index(n: int) -> Iterator[Descriptor]:
-    """Every index-n subgroup in sort_key order: z3 block first, then g2, then g6.
-
-    Every block walk yields its parameters in increasing order, so no sort is needed.
-    """
-    return chain(iter_z3(n), iter_g2(n), iter_g6(n))
-
-
 def enumerate_z3(n: int) -> list[Z3Descriptor]:
-    return list(iter_z3(n))
+    """Every index-n subgroup isomorphic to Z^3 (none unless 4 | n)."""
+    return list(iter_iso("g1", n))
 
 
 def enumerate_g2(n: int) -> list[G2Descriptor]:
-    return list(iter_g2(n))
+    """Every index-n subgroup isomorphic to the dicosm group (n even only)."""
+    return list(iter_iso("g2", n))
 
 
 def enumerate_g6(n: int) -> list[G6Descriptor]:
-    return list(iter_g6(n))
+    """Every index-n subgroup isomorphic to the whole group (n odd only)."""
+    return list(iter_iso("g6", n))
 
 
 _ENUMERATORS = {"g1": enumerate_z3, "g2": enumerate_g2, "g6": enumerate_g6}
@@ -305,7 +284,10 @@ def enumerate_iso(iso: str, n: int) -> list[Descriptor]:
 
 
 def enumerate_index(n: int) -> list[Descriptor]:
-    """The list of iter_index(n), built from the three per-type lists."""
+    """Every index-n subgroup in sort_key order: z3 block first, then g2, then g6.
+
+    Every block walk yields its parameters in increasing order, so no sort is needed.
+    """
     return [*enumerate_z3(n), *enumerate_g2(n), *enumerate_g6(n)]
 
 
@@ -478,7 +460,7 @@ def _z3_classes(n: int) -> Iterator[Class]:
     So a class is the at most 4 sign-flip images of a lattice, and it is
     yielded at its least member.
     """
-    for d in iter_z3(n):
+    for d in iter_iso("g1", n):
         images = {d, *(conjugate_descriptor(d, g) for g in _CONJUGATORS)}
         if min(images) == d:
             yield d, len(images)
@@ -675,7 +657,7 @@ def from_json_dict(obj: dict) -> Descriptor:
     if not isinstance(obj, dict):
         raise ValueError(f"a descriptor must be an object of fields, not {type(obj).__name__}")
     tag = obj.get("type")
-    if tag not in _FIELD_RANGES:
+    if not isinstance(tag, str) or tag not in _FIELD_RANGES:
         raise ValueError(f"descriptor field 'type' = {tag!r} must be z3, g2 or g6")
     known = {"type", *(field for field, _ in _FIELD_RANGES[tag])}
     if tag == "g2":

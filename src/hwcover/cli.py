@@ -57,28 +57,33 @@ def _g6_lines(params: tuple, cells) -> Iterator[str]:
     return (f"{head}{u},{v},{w},,,,,,,,\n" for u, v, w in cells)
 
 
-# Per type: the lines of a block, and the number of params a descriptor starts with.
-_LINES = {"g1": (_z3_lines, 0), "g2": (_g2_lines, 3), "g6": (_g6_lines, 3)}
+_LINES = {"g1": _z3_lines, "g2": _g2_lines, "g6": _g6_lines}
 
 
 def _csv_lines(n: int, isos: Sequence[str]) -> Iterator[str]:
     """The CSV lines of the index-n descriptors of the given types, without building one."""
     for iso in isos:
-        lines = _LINES[iso][0]
+        lines = _LINES[iso]
         for params, cells in catalog.iter_blocks(iso, n):
             yield from lines(params, cells)
 
 
 def _descriptor_csv_row(d: catalog.Descriptor) -> dict:
     """The cells of d under _CSV_FIELDS, as text; a field the type does not have is empty."""
-    lines, split = _LINES[catalog.iso_of(d)]
-    line, = lines(d[:split], (d[split:],))
-    return dict(zip(_CSV_FIELDS, line[:-1].split(",")))
+    obj = catalog.to_json_dict(d)
+    return {field: str(obj.get(field, "")) for field in _CSV_FIELDS}
 
 
 def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
-    obj = {key: val for key, val in row.items() if val != ""}
-    return catalog.from_json_dict(obj)
+    """Parse a csv.DictReader row; a ValueError names a missing column, extra cells or a bad field."""
+    # DictReader keys the cells past the header by None, and gives the
+    # columns past the last cell of a short row the value None.
+    if None in row:
+        raise ValueError(f"CSV row has {len(row[None])} cells more than the header")
+    missing = next((key for key, val in row.items() if val is None), None)
+    if missing is not None:
+        raise ValueError(f"CSV row has no cell for column {missing!r}")
+    return catalog.from_json_dict({key: val for key, val in row.items() if val != ""})
 
 
 # Items per chunk of _emit (by default), encoded by one csv writerows or

@@ -88,10 +88,6 @@ def iter_hnf3(n: int) -> Iterator[Hnf3]:
                     yield Hnf3(c, e, f, b, d, a)
 
 
-def hnf3_all(n: int) -> list[Hnf3]:
-    return list(iter_hnf3(n))
-
-
 def _hnf_columns(cols: Sequence[Sequence[int]], dim: int) -> list[list[int]]:
     """Column-operation Hermite form of a full-rank generating set.
 

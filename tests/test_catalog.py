@@ -478,6 +478,9 @@ def test_descriptor_json_round_trip():
     ({"type": "g6", "k": 3, "l": 1, "m": 1, "u": 0, "v": 0, "w": 0, "q": 5}, "no field 'q'"),
     ({"type": "g2", "axis": "x", "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0, "u": 0},
      "no field 'u'"),  # a filled cell of another type's column
+    # a type that is not hashable
+    ({"type": []}, "'type'"),
+    ({"type": {}}, "'type'"),
 ])
 def test_descriptor_outside_canonical_ranges_rejected(obj, field):
     with pytest.raises(ValueError, match=field):

@@ -14,7 +14,7 @@ import pytest
 
 import hwcover
 from hwcover import catalog
-from hwcover.cli import _descriptor_csv_row, descriptor_from_csv_row, main
+from hwcover.cli import _CSV_FIELDS, _descriptor_csv_row, descriptor_from_csv_row, main
 from witnesses import descriptor_csv
 
 
@@ -60,6 +60,16 @@ def test_enumerate_csv_round_trip(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     parsed = [descriptor_from_csv_row(row) for row in rows]
     assert parsed == catalog.enumerate_index(8)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("z3,,,,,,,,1,0,1", "no cell for column 'e'"),
+    ("z3,,,,,,,,1,0,1,0,0,0,,,7,8", "2 cells more than the header"),
+])
+def test_csv_row_of_the_wrong_length_rejected(line, message):
+    row, = csv.DictReader(io.StringIO(",".join(_CSV_FIELDS) + "\n" + line + "\n"))
+    with pytest.raises(ValueError, match=message):
+        descriptor_from_csv_row(row)
 
 
 def test_enumerate_csv_matches_the_descriptor_route(capsys):

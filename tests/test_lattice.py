@@ -9,8 +9,8 @@ from hwcover.lattice import (
     Hnf3,
     hnf2_all,
     hnf2_of,
-    hnf3_all,
     hnf3_of,
+    iter_hnf3,
     transform2,
     transform3,
 )
@@ -30,7 +30,7 @@ def test_2d_counts():
 
 def test_3d_counts():
     for n in range(1, 20):
-        lats = hnf3_all(n)
+        lats = list(iter_hnf3(n))
         assert len(lats) == omega(n)
         assert len(set(lats)) == len(lats)
         assert all(h.index == n for h in lats)
@@ -39,12 +39,12 @@ def test_3d_counts():
 def test_enumerations_are_generated_in_increasing_order():
     for n in range(1, 65):
         assert hnf2_all(n) == sorted(hnf2_all(n)), n
-        assert hnf3_all(n) == sorted(hnf3_all(n)), n
+        assert list(iter_hnf3(n)) == sorted(iter_hnf3(n)), n
 
 
 def test_membership_of_basis_and_combinations():
     rng = random.Random(3)
-    for h in rng.sample(hnf3_all(12), 10):
+    for h in rng.sample(list(iter_hnf3(12)), 10):
         c1, c2, c3 = h.columns()
         for _ in range(20):
             i, j, k = rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)
@@ -56,7 +56,7 @@ def test_membership_density_in_a_period_box():
     # an index-n sublattice contains n Z^3, so membership is n-periodic and
     # the box [0, n)^3 holds exactly n^3 / n = n^2 lattice points
     for n in (2, 3, 4, 6):
-        for h in hnf3_all(n):
+        for h in iter_hnf3(n):
             hits = sum(
                 h.contains((i, j, k))
                 for i in range(n) for j in range(n) for k in range(n)
@@ -80,7 +80,7 @@ def test_2d_distinct_as_point_sets():
 
 def test_canonicalization_is_basis_independent():
     rng = random.Random(11)
-    for h in rng.sample(hnf3_all(24), 15):
+    for h in rng.sample(list(iter_hnf3(24)), 15):
         cols = [list(c) for c in h.columns()]
         for _ in range(12):  # random unimodular column operations
             a, b = rng.sample(range(3), 2)
@@ -105,7 +105,7 @@ def test_transforms_match_hnf_of_flipped_columns():
                 flipped = [(signs[0] * u, signs[1] * v) for u, v in h.columns()]
                 assert transform2(h, signs) == hnf2_of(flipped), (h, signs)
     for n in range(1, 25):
-        for h in hnf3_all(n):
+        for h in iter_hnf3(n):
             for signs in itertools.product((1, -1), repeat=3):
                 flipped = [tuple(s * u for s, u in zip(signs, col)) for col in h.columns()]
                 assert transform3(h, signs) == hnf3_of(flipped), (h, signs)
@@ -114,12 +114,12 @@ def test_transforms_match_hnf_of_flipped_columns():
 def test_transforms_are_involutions():
     for h in hnf2_all(18):
         assert transform2(transform2(h, (1, -1)), (1, -1)) == h
-    for h in hnf3_all(8):
+    for h in iter_hnf3(8):
         assert transform3(transform3(h, (1, -1, -1)), (1, -1, -1)) == h
 
 
 def test_negating_everything_fixes_any_lattice():
-    for h in hnf3_all(12):
+    for h in iter_hnf3(12):
         assert transform3(h, (-1, -1, -1)) == h
     for h in hnf2_all(24):
         assert transform2(h, (-1, -1)) == h
@@ -137,7 +137,7 @@ def test_reduce_coset_is_a_transversal():
 
 
 def test_reduce_coset_3d_is_a_transversal():
-    for h in hnf3_all(12):
+    for h in iter_hnf3(12):
         box = list(itertools.product(*(range(-m, 2 * m) for m in (h.c, h.b, h.a))))
         reps = {h.reduce_coset(v) for v in box}
         assert reps == set(itertools.product(range(h.c), range(h.b), range(h.a))), h

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 from hwcover import arith, catalog, cli
 from hwcover.arith import d3, d3_alternating, divisors, form_value
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, Element
-from hwcover.lattice import hnf2_all, hnf2_of, hnf3_all, transform2, transform3
+from hwcover.lattice import hnf2_all, hnf2_of, iter_hnf3, transform2, transform3
 
 
 def congruence_contains(d: catalog.Descriptor, g: Element) -> bool:
@@ -160,7 +160,7 @@ def flip_fixed_count_2d(n: int) -> int:
 
 def flip_fixed_count_3d(n: int) -> int:
     """Index-n sublattices of Z^3 fixed by (u, v, w) -> (u, v, -w)."""
-    return sum(1 for h in hnf3_all(n) if transform3(h, (1, 1, -1)) == h)
+    return sum(1 for h in iter_hnf3(n) if transform3(h, (1, 1, -1)) == h)
 
 
 def odd_factorization_identity_holds(n: int) -> bool:
