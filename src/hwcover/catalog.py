@@ -194,9 +194,11 @@ def normal_counts(n: int) -> tuple[int, int, int]:
     x^(2f) y^-2 z^-2, which the lattice misses whenever the half-shift
     structure forces 4 | exponent gaps).  The z3_normal row matches the
     subgroups fixed by conjugation with each generator, and the singleton
-    classes of the oracle's coset tables (n <= 32, from the presentation
-    alone); the first divergence of the published form is n = 32 (39 vs the
-    actual 37).  Both witnesses live in the test suite.
+    classes of the oracle's coset tables (from the presentation alone); the
+    first divergence of the published form is n = 32 (39 vs the actual 37),
+    and at n = 64 it gives 67 against the actual 61.  Both witnesses live in
+    the test suite for n <= 32; a CI step counts the 61 singleton g1 classes
+    of the oracle's search at n = 64.
     """
     return tuple(form_value(FORMS[row], n) for row in _NORMAL_ROWS.values())
 

@@ -22,18 +22,33 @@ forms of its class members, so each class is relabeled once, for its first
 member seen; forms are plain tuples, and only tables handed out of the
 module are validated.
 
-The descriptor bridge labels each coset in O(1) with ``catalog.coset_key``,
-which it reads with the index from one coset structure: the subgroup H
-meets the translations in a lattice T and is the union of r T over a
-transversal R, one r per letter of H, so a left coset gH is the union of
-the translation cosets (g r) T, and the one with the least letter, its
-translation reduced mod T, names gH.  The right coset Hg is labeled by
-g^-1 H.  The catalog's membership test reads the same label.
+The cross-check compares the subgroups of both sides by key, and reads no
+coset table off a descriptor.  The subgroup H meets the translations Lambda
+in a lattice T and is the union of r T over a transversal R, one r per
+letter of H.  Its key is T in Hermite normal form over the half-exponents
+(a, b, c), then (letter, translation mod T) for each non-identity letter of
+H, in letter order; ``_subgroup_key`` builds it for both sides.
+``table_key`` reads it off a table: the orbit of the basepoint under x^2,
+y^2, z^2 gives each point p of it a half-exponent vector v(p), each edge of
+that orbit outside its spanning tree gives a Schreier generator of T, and a
+letter whose image of the basepoint lies in the orbit belongs to H with
+translation -v of that image.  ``descriptor_key`` reads it from
+``catalog.cosets``.  The key's number of letters is the stabilizer's type.
+Both keys speak normal forms, so the cross-check also checks that the
+normal-form arithmetic kills every word of ``group.RELATOR_WORDS``.
+
+``descriptor_to_table`` is the bridge the other way, and the witness that
+ties the two readers together: it builds a descriptor's table by coset
+enumeration over the exact group arithmetic, labelling each coset in O(1)
+with ``catalog.coset_key`` (the translation coset (g r) T with the least
+letter, reduced mod T, names gH; the right coset Hg is labeled by g^-1 H),
+and reading that table back gives the descriptor's own key.
 
 References: Holt, Eick, O'Brien, "Handbook of Computational Group Theory",
-chapter 5 (coset enumeration and the low-index subgroups algorithm); Sims,
-"Computation with Finitely Presented Groups" (1994), on low-index subgroups
-and standardized coset tables.
+chapter 5 (coset enumeration, Schreier generators and the low-index
+subgroups algorithm); Sims, "Computation with Finitely Presented Groups"
+(1994), on low-index subgroups, standardized coset tables and Hermite
+normal forms.
 """
 
 from __future__ import annotations
@@ -44,8 +59,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import catalog
-from .group import IDENTITY, RELATOR_WORDS, TOKEN_ELEMENT, Element, parse_word
+from .group import IDENTITY, RELATOR_WORDS, TOKEN_ELEMENT, Element, eval_word, parse_word
 from .catalog import Descriptor
+from .lattice import Hnf3, hnf3_of
 
 # Generator columns x, x^-1, y, y^-1, z, z^-1, one per word token, for every
 # table of the module, searched or relabeled; column g's inverse is g ^ 1.
@@ -68,7 +84,7 @@ _ROT: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
 )
 
 DEFAULT_ORACLE_LIMIT = 16
-HARD_CAP = 48
+HARD_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -230,12 +246,16 @@ def _search(max_index: int) -> list[CosetTable]:
 
 
 @lru_cache(maxsize=8)
-def _tables_up_to(max_index: int) -> tuple[CosetTable, ...]:
+def _tables_up_to(max_index: int) -> dict[int, tuple[CosetTable, ...]]:
+    """The tables on at most max_index cosets by degree, each in search order."""
     if max_index < 1:
-        return ()
+        return {}
     if max_index > HARD_CAP:
         raise ValueError(f"index limit {max_index} exceeds the hard cap {HARD_CAP}")
-    return tuple(_search(max_index))
+    by_degree: dict[int, list[CosetTable]] = {}
+    for t in _search(max_index):
+        by_degree.setdefault(t.degree, []).append(t)
+    return {n: tuple(tables) for n, tables in by_degree.items()}
 
 
 def low_index(n: int, search_limit: int | None = None) -> tuple[CosetTable, ...]:
@@ -244,25 +264,71 @@ def low_index(n: int, search_limit: int | None = None) -> tuple[CosetTable, ...]
     search_limit (>= n) selects the cached search run to draw from, so a
     loop over n = 1..N with search_limit=N triggers a single backtrack.
     """
-    limit = max(n, search_limit or 0)
-    return tuple(t for t in _tables_up_to(limit) if t.degree == n)
+    return _tables_up_to(max(n, search_limit or 0)).get(n, ())
 
 
 # ---------------------------------------------------------------------------
 # Classification and canonical labeling
 # ---------------------------------------------------------------------------
 
-def stabilizer_type(t: CosetTable) -> str:
-    """Isomorphism type of the basepoint stabilizer: g1, g2 or g6.
+def _subgroup_key(lattice: Hnf3, reps: Iterable[tuple[str, tuple[int, int, int]]]) -> tuple:
+    """Key of the subgroup H = R T: T, then (letter, translation mod T) per r in R.
 
-    The translation subgroup acts through the squared generator
-    permutations; its orbit count o determines the Klein image size 4/o.
-    It is normal and the action is transitive, so its orbits have equal
-    size, and o is n over the size of the basepoint's orbit.
+    lattice is T over the half-exponents (a, b, c); reps holds (letter, (a,
+    b, c)) for the non-identity letters of H, each with any translation of
+    H on that letter.
     """
-    n = t.degree
-    squares = [tuple(p[p[i]] for i in range(n)) for p in (t.x, t.y, t.z)]
-    return {1: "g1", 2: "g2", 4: "g6"}[4 * len(_reach(0, squares)) // n]
+    return lattice, tuple(sorted((letter, lattice.reduce_coset(v)) for letter, v in reps))
+
+
+def table_key(t: CosetTable) -> tuple:
+    """Subgroup key of the basepoint stabilizer H, read off the table.
+
+    The orbit of the basepoint under the squares x^2, y^2, z^2 is the set of
+    cosets H lambda; walking it from 0 gives each point p a half-exponent
+    vector v(p) with H lambda_v(p) = p.  An edge p -> q along the i-th square
+    puts lambda of v(p) + e_i - v(q) in T = H meet Lambda, and these
+    Schreier generators span T.  A letter l with 0 l = q in the orbit puts
+    l lambda_-v(q) in H.
+    """
+    x, y, z = t.x, t.y, t.z
+    vec = {0: (0, 0, 0)}
+    order = [0]
+    schreier = set()
+    for p in order:  # order grows while it is scanned
+        a, b, c = vec[p]
+        for q, w in ((x[x[p]], (a + 1, b, c)), (y[y[p]], (a, b + 1, c)), (z[z[p]], (a, b, c + 1))):
+            u = vec.get(q)
+            if u is None:
+                vec[q] = w
+                order.append(q)
+            elif u != w:
+                schreier.add((w[0] - u[0], w[1] - u[1], w[2] - u[2]))
+    return _subgroup_key(hnf3_of(schreier), (
+        (letter, (-v[0], -v[1], -v[2]))
+        for letter, perm in zip("xyz", (x, y, z)) if (v := vec.get(perm[0])) is not None))
+
+
+def descriptor_key(d: Descriptor) -> tuple:
+    """Subgroup key of the descriptor, read from catalog.cosets(d).
+
+    T comes in the coordinate order pos; for G2 its columns are mapped back
+    to (a, b, c) and put into Hermite normal form again.
+    """
+    lattice, pos, reps = catalog.cosets(d)
+    if pos != (0, 1, 2):
+        lattice = hnf3_of(catalog._from_pos(pos, col) for col in lattice.columns())
+    return _subgroup_key(lattice, ((r.letter, (r.a, r.b, r.c)) for r in reps[1:]))
+
+
+def _key_type(key: tuple) -> str:
+    """Isomorphism type g1, g2 or g6 of a keyed subgroup: |R| is 1, 2 or 4."""
+    return {0: "g1", 1: "g2", 3: "g6"}[len(key[1])]
+
+
+def stabilizer_type(t: CosetTable) -> str:
+    """Isomorphism type of the basepoint stabilizer (g1, g2 or g6), read from its key."""
+    return _key_type(table_key(t))
 
 
 def _relabelings(t: CosetTable, bases: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -395,8 +461,11 @@ class CountRow:
 class CrossCheckReport:
     """Rows of one index, plus whether the oracle and catalog tables coincide.
 
-    ``failure`` names the descriptor whose table raised, with the exception, or
-    the first table in key order whose multiplicities differ; writers omit it.
+    ``failure`` names the descriptor whose subgroup key raised, with the
+    exception, or a relator that the normal-form arithmetic does not kill, or
+    the first subgroup key in key order whose multiplicities differ: by the
+    oracle's table when the oracle holds that key, else by the descriptor.
+    The writers omit it.
     """
 
     n: int
@@ -429,6 +498,20 @@ def csv_rows(report: CrossCheckReport) -> list[list]:
     return [[_csv_cell(v) for v in r.cells()] for r in report.rows]
 
 
+def _arithmetic_failure() -> str | None:
+    """The first relator word that the normal-form arithmetic does not kill, if any.
+
+    The oracle's keys are read from the presentation and the catalog's from
+    normal forms; they name the same subgroups only if the arithmetic of
+    normal forms is that of the presented group.
+    """
+    for word in RELATOR_WORDS:
+        g = eval_word(word)
+        if g != IDENTITY:
+            return f"relator {word} evaluates to {g} in the normal-form arithmetic"
+    return None
+
+
 def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckReport:
     """Compare closed forms, catalog enumeration, and the oracle at index n.
 
@@ -443,8 +526,9 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     if use_oracle:
         tables = low_index(n, search_limit=oracle_limit)
         forms = [t.x + t.y + t.z for t in tables]  # searched tables are standardized
-        types = [stabilizer_type(t) for t in tables]
-        oracle_keys.update(forms)
+        keys = [table_key(t) for t in tables]
+        types = [_key_type(key) for key in keys]
+        oracle_keys.update(keys)
         oracle_s.update(types)
         oracle_c.update(iso for iso, _ in set(zip(types, _class_keys(tables, forms))))
 
@@ -452,6 +536,7 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     bijective: bool | None = None
     failure: str | None = None
     catalog_keys: Counter[tuple] = Counter()
+    descriptor_of: dict[tuple, Descriptor] = {}
     catalog_ok = use_oracle
     for iso in catalog.ISO_TYPES:
         failures = []
@@ -469,11 +554,13 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
         if use_oracle and s_cat is not None and catalog_ok:
             for d in ds:
                 try:
-                    catalog_keys[_base_form(descriptor_to_table(d))] += 1
-                except (EnumerationError, ValueError) as exc:
+                    key = descriptor_key(d)
+                except Exception as exc:
                     catalog_ok = False
                     failure = f"{d!r}: {type(exc).__name__}: {exc}"
                     break
+                catalog_keys[key] += 1
+                descriptor_of.setdefault(key, d)
         elif use_oracle:
             catalog_ok = False
         rows.append(CountRow(
@@ -485,11 +572,17 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
             failure="; ".join(failures) or None,
         ))
     if use_oracle:
+        arithmetic = _arithmetic_failure()
         differ = [k for k in oracle_keys.keys() | catalog_keys.keys()
                   if oracle_keys[k] != catalog_keys[k]]
+        failure = failure or arithmetic
         if differ and failure is None:
             k = min(differ)
-            failure = (f"table x={k[:n]} y={k[n:2 * n]} z={k[2 * n:]}: "
-                       f"oracle {oracle_keys[k]}, catalog {catalog_keys[k]}")
-        bijective = catalog_ok and not differ
+            if oracle_keys[k]:
+                t = tables[keys.index(k)]
+                named = f"table x={t.x} y={t.y} z={t.z}"
+            else:
+                named = repr(descriptor_of[k])
+            failure = f"{named}: oracle {oracle_keys[k]}, catalog {catalog_keys[k]}"
+        bijective = catalog_ok and arithmetic is None and not differ
     return CrossCheckReport(n=n, rows=tuple(rows), tables_bijective=bijective, failure=failure)

@@ -351,13 +351,13 @@ def test_verify_mismatch_names_the_exception(capsys, monkeypatch):
 def test_verify_mismatch_names_the_descriptor_whose_table_fails(capsys, monkeypatch):
     from hwcover import oracle
     victim = catalog.enumerate_g2(4)[5]
-    real = oracle.descriptor_to_table
+    real = oracle.descriptor_key
 
-    def descriptor_to_table(d):
+    def descriptor_key(d):
         if d == victim:
             raise oracle.EnumerationError("closed early")
         return real(d)
-    monkeypatch.setattr(oracle, "descriptor_to_table", descriptor_to_table)
+    monkeypatch.setattr(oracle, "descriptor_key", descriptor_key)
     code, out, err = run_cli(capsys, "verify", "--max", "4", "--oracle-limit", "4")
     assert code == 1
     assert f"n=4 tables_bijective=false ({victim!r}: EnumerationError: closed early)" in err
@@ -384,7 +384,7 @@ def test_exit_code_2_on_bad_flags(capsys):
         main(["verify", "--max", "4", "--oracle-limit", "99"])  # above hard cap
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--max", "4", "--oracle-limit", "49"])  # one above hard cap
+        main(["verify", "--max", "4", "--oracle-limit", "65"])  # one above hard cap
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "0"])

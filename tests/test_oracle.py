@@ -15,9 +15,11 @@ from hwcover.oracle import (
     classes_of,
     cross_check,
     csv_rows,
+    descriptor_key,
     descriptor_to_table,
     low_index,
     stabilizer_type,
+    table_key,
 )
 
 ISO = ("g1", "g2", "g6")
@@ -309,29 +311,42 @@ def test_csv_rows_shape():
 
 def test_hard_cap_guard():
     with pytest.raises(ValueError):
-        low_index(49, search_limit=49)
+        low_index(65, search_limit=65)
 
 
-def _swap_one_table(monkeypatch, victim, replacement):
-    real = oracle.descriptor_to_table
+def _swap_one_key(monkeypatch, victim, replacement):
+    real = oracle.descriptor_key
 
     def patched(d):
         return replacement(d) if d == victim else real(d)
-    monkeypatch.setattr(oracle, "descriptor_to_table", patched)
+    monkeypatch.setattr(oracle, "descriptor_key", patched)
 
 
 def test_cross_check_names_the_first_differing_table(monkeypatch):
     victim, other = catalog.enumerate_g2(6)[:2]
-    _swap_one_table(monkeypatch, victim, lambda d: descriptor_to_table(other))
+    missing, doubled = (oracle.descriptor_key(d) for d in (victim, other))
+    _swap_one_key(monkeypatch, victim, lambda d: doubled)
     rep = cross_check(6, oracle_limit=6)
     assert rep.tables_bijective is False and not rep.all_match
-    # the victim's table is missing from the catalog side and the other's is
-    # doubled; the report names the one that comes first in key order
-    missing, doubled = (canonical_table(descriptor_to_table(d), 0) for d in (victim, other))
-    k = min(missing, doubled, key=lambda t: t.x + t.y + t.z)
+    # the victim's subgroup is missing from the catalog side and the other's is
+    # doubled; the oracle holds both, and the report names the table of the one
+    # whose key comes first
+    k = min(missing, doubled)
+    t = canonical_table(descriptor_to_table(victim if k == missing else other), 0)
     counts = "oracle 1, catalog 0" if k == missing else "oracle 1, catalog 2"
-    assert rep.failure == f"table x={k.x} y={k.y} z={k.z}: {counts}"
+    assert rep.failure == f"table x={t.x} y={t.y} z={t.z}: {counts}"
     assert cross_check(6, oracle_limit=0).failure is None
+
+
+def test_cross_check_names_the_descriptor_of_a_key_only_the_catalog_holds(monkeypatch):
+    # the victim claims the translation subgroup Lambda, of index 4, whose key
+    # comes before every key of index 6; no table of degree 6 holds it
+    victim = catalog.enumerate_g2(6)[3]
+    lam = oracle.descriptor_key(catalog.enumerate_z3(4)[0])
+    _swap_one_key(monkeypatch, victim, lambda d: lam)
+    rep = cross_check(6, oracle_limit=6)
+    assert rep.tables_bijective is False and not rep.all_match
+    assert rep.failure == f"{victim!r}: oracle 0, catalog 1"
 
 
 def test_cross_check_names_the_descriptor_whose_table_fails(monkeypatch):
@@ -339,7 +354,40 @@ def test_cross_check_names_the_descriptor_whose_table_fails(monkeypatch):
 
     def fail(d):
         raise EnumerationError("closed early")
-    _swap_one_table(monkeypatch, victim, fail)
+    _swap_one_key(monkeypatch, victim, fail)
     rep = cross_check(8, oracle_limit=8)
     assert rep.tables_bijective is False
     assert rep.failure == f"{victim!r}: EnumerationError: closed early"
+
+
+def test_cross_check_names_the_relator_a_faulty_arithmetic_breaks(monkeypatch):
+    from hwcover import group
+    broken = dict(group.LETTER_PRODUCT)
+    broken["x", "y"] = ("z", 0, 0, 1)  # wrong translation correction
+    monkeypatch.setattr(group, "LETTER_PRODUCT", broken)
+    rep = cross_check(3, oracle_limit=3)
+    assert rep.tables_bijective is False and not rep.all_match
+    assert rep.failure == "relator x y y X y y evaluates to z^4 in the normal-form arithmetic"
+
+
+# --- subgroup keys ---------------------------------------------------------------
+
+def test_descriptor_tables_read_back_to_the_descriptor_key():
+    # the group-arithmetic bridge ties the two readers of a subgroup key together
+    for n in range(1, 25):
+        for d in catalog.enumerate_index(n):
+            assert table_key(descriptor_to_table(d)) == descriptor_key(d), d
+
+
+def test_searched_tables_have_distinct_keys():
+    for n in range(1, 25):
+        keys = [table_key(t) for t in low_index(n, search_limit=24)]
+        assert len(set(keys)) == len(keys), n
+
+
+def test_keys_are_read_in_the_half_exponents_a_b_c():
+    lam = catalog.enumerate_z3(4)[0]
+    assert descriptor_key(lam) == (Hnf3(1, 0, 0, 1, 0, 1), ())
+    # <y^3, x^2, z^2>: T = <y^6, x^2, z^2> has b-period 3, and y^3 = y y^2
+    cube_y = catalog.G2Descriptor("y", 3, Hnf2(1, 0, 1), 0, 0)
+    assert descriptor_key(cube_y) == (Hnf3(1, 0, 0, 3, 0, 1), (("y", (0, 1, 0)),))
