@@ -644,11 +644,15 @@ _FIELD_RANGES = {
 }
 
 
+def is_int_text(text: str) -> bool:
+    """Whether outside text spells an integer: ASCII digits after an optional leading '-'."""
+    return text.isascii() and text.removeprefix("-").isdecimal()
+
+
 def _int_field(obj: dict, tag: str, field: str) -> int:
-    """An integer field: a JSON int (not a bool) or the ASCII digits of a CSV cell."""
+    """An integer field: a JSON int (not a bool) or is_int_text text, as in a CSV cell."""
     val = obj.get(field)
-    if type(val) is int or (isinstance(val, str) and val.isascii()
-                            and val.removeprefix("-").isdecimal()):
+    if type(val) is int or (isinstance(val, str) and is_int_text(val)):
         return int(val)
     raise ValueError(f"{tag} descriptor field {field!r} = {val!r} must be an integer"
                      if field in obj else f"{tag} descriptor field {field!r} is missing")

@@ -10,19 +10,17 @@ Subcommands::
     verify     three-way verification report (closed form / catalog / oracle)
 
 Every command writes through one chunked writer, _emit, as its rows are
-produced.  ``enumerate --format csv`` builds no descriptors: it formats the
-fixed part of its lines once per block of ``catalog.iter_blocks`` (a G2
-plane, a G6 box), appends the cells that vary within the block, and _emit
-joins the lines 256 at a time.  Exit codes: 0 success (verify: everything
-matches), 1 verification mismatch, 2 usage or I/O error.  Output is
-deterministic byte-for-byte.
+produced.  CSV has one route: _emit formats each row by one "%s" template
+per header (a row of another length raises TypeError), or takes the lines
+that ``enumerate`` formats from the blocks of ``catalog.iter_blocks`` (the
+fixed part once per G2 plane or G6 box), and joins them 256 at a time.
+Exit codes: 0 success (verify: everything matches), 1 verification
+mismatch, 2 usage or I/O error.  Output is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -37,9 +35,9 @@ _CSV_FIELDS = ["type", "axis", "k", "l", "m", "u", "v", "w",
 
 
 # The CSV lines of one block of catalog.iter_blocks, per type: the head is
-# formatted once from the block's params, then one line per cell.  Every
-# field is an int or one of z3 g2 g6 x y z, so csv's minimal quoting never
-# applies: these are the bytes csv.writer writes for the same cells.
+# formatted once from the block's params, then one line per cell.  A cell is
+# written as its text, unquoted: no CSV cell of the CLI holds a comma, a quote
+# or a newline except the classes representative, which _cmd_classes quotes.
 
 def _z3_lines(params: tuple, cells) -> Iterator[str]:
     return (f"z3,,,,,,,,{lat.b},{lat.c},{lat.a},{lat.e},{lat.f},{lat.d},,\n" for lat, in cells)
@@ -86,27 +84,11 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict({key: val for key, val in row.items() if val != ""})
 
 
-# Items per chunk of _emit (by default), encoded by one csv writerows or
-# json.dumps call and written at once.  One call per item is about twice as slow, and one call
-# for the whole output holds all of its text; 256 JSON objects encode as fast
-# as 1024 and peak at a third of their memory.
+# Items per chunk of _emit (by default), joined by one str.join (CSV lines)
+# or encoded by one json.dumps call, and written at once.  One call per item is
+# about twice as slow, and one call for the whole output holds all of its text;
+# 256 JSON objects encode as fast as 1024 and peak at a third of their memory.
 _CHUNK = 256
-
-
-def _write_csv(fh, header: Sequence[str], rows) -> int:
-    """Write the header, then the rows of any iterable a chunk at a time; return their number."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    it, count = iter(rows), 0
-    while chunk := list(islice(it, _CHUNK)):
-        writer.writerows(chunk)
-        fh.write(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
-        count += len(chunk)
-    fh.write(buf.getvalue())  # the header alone when there are no rows
-    return count
 
 
 def _write_json_list(fh, objs, frame: tuple[str, str] | None = None, chunk: int = _CHUNK) -> int:
@@ -166,15 +148,17 @@ def _emit(path: str | None, fmt: str, header: Sequence[str], rows=(), objs=None,
           frame: tuple[str, str] | None = None, chunk: int = _CHUNK, lines=None) -> int:
     """Write a command's output to path (stdout when None); return the number of items.
 
-    CSV is the header, then the rows, or the given lines, already CSV text.
+    CSV is the header, then the given lines, already CSV text, or else the
+    rows: tuples of the header's length, each cell written as its text.
     JSON is the list of objs (by default the rows keyed by the header),
     framed and chunked as in _write_json_list.
     """
     with _output(path) as fh:
-        if fmt == "csv" and lines is None:
-            return _write_csv(fh, header, rows)
         if fmt == "csv":
             fh.write(",".join(header) + "\n")
+            if lines is None:
+                template = ",".join(["%s"] * len(header)) + "\n"
+                lines = map(template.__mod__, rows)
             return _write_lines(fh, lines)
         if objs is None:
             objs = (dict(zip(header, row)) for row in rows)
@@ -209,8 +193,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classes(args) -> int:
     classes = catalog.iter_classes(args.index, args.type)
     if args.format == "csv":
+        # the one CSV cell that holds commas and quotes: quoted, inner quotes doubled
         rows = ((args.index, catalog.iso_of(rep), size,
-                 json.dumps(catalog.to_json_dict(rep), sort_keys=True))
+                 '"%s"' % json.dumps(catalog.to_json_dict(rep), sort_keys=True).replace('"', '""'))
                 for rep, size in classes)
         _emit(args.out, "csv", ["n", "type", "size", "representative"], rows)
         return 0
@@ -288,10 +273,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be an integer") from None
+    if not catalog.is_int_text(text):
+        raise argparse.ArgumentTypeError("must be an integer")
+    return int(text)
 
 
 def _positive(text: str) -> int:

@@ -494,8 +494,8 @@ def _csv_cell(v):
     return "" if v is None else str(v).lower() if type(v) is bool else v
 
 
-def csv_rows(report: CrossCheckReport) -> list[list]:
-    return [[_csv_cell(v) for v in r.cells()] for r in report.rows]
+def csv_rows(report: CrossCheckReport) -> list[tuple]:
+    return [tuple(map(_csv_cell, r.cells())) for r in report.rows]
 
 
 def _arithmetic_failure() -> str | None:

@@ -14,8 +14,8 @@ import pytest
 
 import hwcover
 from hwcover import catalog
-from hwcover.cli import _CSV_FIELDS, _descriptor_csv_row, descriptor_from_csv_row, main
-from witnesses import descriptor_csv
+from hwcover.cli import _CSV_FIELDS, _descriptor_csv_row, _emit, descriptor_from_csv_row, main
+from witnesses import csv_text, descriptor_csv
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +85,40 @@ def test_enumerate_csv_matches_the_descriptor_route(capsys):
             assert err == f"enumerate: index={n} type={iso or 'all'} count={len(ds)}\n"
             for d in ds:
                 assert descriptor_from_csv_row(_descriptor_csv_row(d)) == d
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--max", "1"), ("count", "--max", "300"), ("count", "--max", "1000"),
+    ("normal", "--max", "1"), ("normal", "--max", "257"),
+    ("series", "--max", "1"), ("series", "--max", "64"),
+    ("series", "--max", "8", "--out", "PATH"), ("series", "--max", "300", "--out", "PATH"),
+    ("classes", "--index", "1"), ("classes", "--index", "48"), ("classes", "--index", "105"),
+    ("classes", "--index", "96", "--type", "g2"), ("classes", "--index", "5", "--type", "g1"),
+    ("verify", "--max", "6", "--oracle-limit", "0"), ("verify", "--max", "10", "--oracle-limit", "6"),
+    ("verify", "--max", "8", "--oracle-limit", "8"),
+    ("enumerate", "--index", "1"), ("enumerate", "--index", "48"),
+    ("enumerate", "--index", "96", "--type", "g2"), ("enumerate", "--index", "45", "--type", "g6"),
+], ids=" ".join)
+def test_csv_is_what_csv_writer_writes(argv, tmp_path, capsys):
+    # Every CSV the CLI writes parses into rows of the header's length, and
+    # csv.writer, with its minimal quoting, writes the same rows back byte for byte.
+    path = tmp_path / "out.csv"
+    code, out, _ = run_cli(capsys, *(str(path) if arg == "PATH" else arg for arg in argv))
+    assert code == 0
+    if argv[0] == "series":
+        # the audit line after the table is a comment, not a row
+        out, comment = out[:out.index("#")], out[out.index("#"):]
+        assert comment.startswith("# row 3 label audit: ") and comment.count("\n") == 1
+    for text in (out, path.read_text(encoding="utf-8")) if path.exists() else (out,):
+        header, *rows = csv.reader(io.StringIO(text))
+        assert all(len(row) == len(header) for row in rows)
+        assert csv_text(header, rows) == text
+
+
+@pytest.mark.parametrize("row", [(1, 2), (1, 2, 3, 4)], ids=["short", "long"])
+def test_emit_rejects_a_row_of_another_length(row, capsys):
+    with pytest.raises(TypeError):
+        _emit(None, "csv", ["a", "b", "c"], [(1, 2, 3), row])
 
 
 def test_enumerate_empty(capsys):
@@ -389,8 +423,12 @@ def test_exit_code_2_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "0"])
     assert exc.value.code == 2
-    # text that is not an integer is named as such, without the parser's private names
-    for argv in (["count", "--max", "x"], ["verify", "--max", "4", "--oracle-limit", "abc"]):
+    # text that is not an integer is named as such, without the parser's private names;
+    # an integer is ASCII digits after an optional '-', as in a descriptor field, so
+    # int()'s other spellings (a non-ASCII digit, an underscore, spaces, a '+') are not
+    for argv in (["count", "--max", "x"], ["verify", "--max", "4", "--oracle-limit", "abc"],
+                 ["count", "--max", "\u0663"], ["enumerate", "--index", "1_0"],
+                 ["classes", "--index", " 4 "], ["verify", "--max", "4", "--oracle-limit", "+3"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,5 +1,6 @@
 """What the README and the demos read: the package's top-level names, and each demo's output."""
 
+import doctest
 import hashlib
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import hwcover
 
 DEMOS = Path(__file__).parents[1] / "demos"
+README = Path(__file__).parents[1] / "README.md"
 
 # SHA-256 of each demo's stdout
 DEMO_DIGESTS = {
@@ -46,3 +48,10 @@ def test_top_level_names_are_the_readme_and_demo_api():
         "class_count", "contains", "count_s", "enumerate_z3", "enumerate_g2", "enumerate_g6",
         "generators", "index_of", "cross_check", "descriptor_to_table",
     }
+
+
+def test_readme_doctest():
+    # the README's examples, as python -m doctest README.md runs them
+    failed, attempted = doctest.testfile(str(README), module_relative=False, report=False,
+                                         encoding="utf-8")
+    assert attempted > 0 and failed == 0

@@ -9,14 +9,16 @@ routes.  Each returns what it counted and checks nothing itself; the
 divisor sums, not by their Euler products.  ``congruence_contains`` tests
 membership by congruences on the exponents, derived per type by hand, where
 the library reads one coset structure from ``catalog.cosets``.
-``descriptor_csv`` writes the ``enumerate`` CSV by ``csv.writer`` over the
-cells of each descriptor, where the command formats its lines from the
-catalog's parameter blocks.
+``csv_text`` writes rows through ``csv.writer``, where the CLI formats each
+line from one template per header and quotes the one cell that needs it
+itself; ``descriptor_csv`` writes the ``enumerate`` CSV by it over the cells
+of each descriptor, where the command formats its lines from the catalog's
+parameter blocks.
 """
 
 import csv
 import io
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from hwcover import arith, catalog, cli
 from hwcover.arith import d3, d3_alternating, divisors, form_value
@@ -66,13 +68,18 @@ def _csv_cells(d: catalog.Descriptor) -> tuple:
     return ("g6", "", d.k, d.l, d.m, d.u, d.v, d.w, "", "", "", "", "", "", "", "")
 
 
-def descriptor_csv(ds: Iterable[catalog.Descriptor]) -> str:
-    """The enumerate CSV of the descriptors: the header, then csv.writer over each one's cells."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header, then the rows, through csv.writer with minimal quoting and newline line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cli._CSV_FIELDS)
-    writer.writerows(map(_csv_cells, ds))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def descriptor_csv(ds: Iterable[catalog.Descriptor]) -> str:
+    """The enumerate CSV of the descriptors: csv_text over each one's cells."""
+    return csv_text(cli._CSV_FIELDS, map(_csv_cells, ds))
 
 
 def is_normal(d: catalog.Descriptor) -> bool:
