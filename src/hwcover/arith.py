@@ -122,10 +122,17 @@ def zeta_product(shifts: Sequence[int], N: int) -> list[int]:
     """Coefficients 1..N of the product of zeta(s - j), j in shifts; () is delta.
 
     A prime-power sieve: each p^e <= N multiplies by h_e the n it divides exactly.
+    A prime p with p^2 > N divides each of its multiples once, so they take h_1,
+    the sum of the p^j, and need no marking: every composite <= N has a prime
+    factor <= sqrt(N).
     """
     out, composite = [1] * (N + 1), bytearray(N + 1)
     for p in range(2, N + 1):
         if composite[p]:
+            continue
+        if p * p > N:
+            h1 = sum(p ** j for j in shifts)
+            out[p::p] = [v * h1 for v in out[p::p]]
             continue
         composite[p * p::p] = b"\1" * len(range(p * p, N + 1, p))
         E = 1
@@ -141,13 +148,22 @@ def zeta_product(shifts: Sequence[int], N: int) -> list[int]:
 
 
 def form_values(forms: dict, N: int) -> dict[object, list[int]]:
-    """Each closed form at n = 1..N, keyed as in ``forms``.
+    """Each closed form at n = 1..N, keyed as in ``forms``; equal forms share one evaluation.
 
-    One zeta_product series per base serves every form; each form is summed
-    in integers over its common denominator, which must divide every total.
+    One zeta_product series per base serves every form, and is dropped once
+    the last distinct form that reads it is summed; each distinct form is
+    summed once, in integers over its common denominator, which must divide
+    every total.  Every key gets its own list.
     """
-    series, out = {}, {}
+    first_key = {}
     for key, form in forms.items():
+        first_key.setdefault(form, key)
+    last_key = {base: key for form, key in first_key.items() for _, _, base in form}
+    series, values, out = {}, {}, {}
+    for key, form in forms.items():
+        if form in values:
+            out[key] = values[form][:]
+            continue
         den = lcm(*(Fraction(c).denominator for c, _, _ in form))
         acc = [0] * (N + 1)
         for c, k, base in form:
@@ -160,7 +176,10 @@ def form_values(forms: dict, N: int) -> dict[object, list[int]]:
             if bad is not None:
                 raise ArithmeticError(f"closed form {key} is fractional at n={bad}")
             acc = [v // den for v in acc]
-        out[key] = acc[1:]
+        out[key] = values[form] = acc[1:]
+        for _, _, base in form:
+            if last_key[base] == key:
+                series.pop(base, None)
     return out
 
 

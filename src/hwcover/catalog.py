@@ -565,6 +565,8 @@ def normal_arrays(N: int) -> dict[tuple[str, str], list[int]]:
 
 
 def _first_divergence(a: list[int], b: list[int]) -> int | None:
+    if a == b:
+        return None
     for i, (u, v) in enumerate(zip(a, b)):
         if u != v:
             return i + 1

@@ -11,11 +11,12 @@ Subcommands::
 
 Every command writes through one chunked writer, _emit, as its rows are
 produced.  CSV has one route: _emit formats each row by one "%s" template
-per header (a row of another length raises TypeError), or takes the lines
-that ``enumerate`` formats from the blocks of ``catalog.iter_blocks`` (the
-fixed part once per G2 plane or G6 box), and joins them 256 at a time.
+per header (a row of another length raises TypeError), or takes the text
+that ``enumerate`` formats from the blocks of ``catalog.iter_blocks`` (one
+str.join per G2 plane), and writes at least 256 lines at a time.
 Exit codes: 0 success (verify: everything matches), 1 verification
-mismatch, 2 usage or I/O error.  Output is deterministic byte-for-byte.
+mismatch, 2 usage or I/O error (on stdout, the --out file or stderr).  Output
+is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -34,36 +35,48 @@ _CSV_FIELDS = ["type", "axis", "k", "l", "m", "u", "v", "w",
                "b", "c", "a", "e", "f", "d", "s", "t"]
 
 
-# The CSV lines of one block of catalog.iter_blocks, per type: the head is
-# formatted once from the block's params, then one line per cell.  A cell is
-# written as its text, unquoted: no CSV cell of the CLI holds a comma, a quote
-# or a newline except the classes representative, which _cmd_classes quotes.
+# The CSV text of the index-n subgroups of one type, from catalog.iter_blocks,
+# one block at a time (Z3: one line at a time).  The cells of a G2 plane
+# (axis, k, H) are (s, t) in range(H.b) x range(H.a), and those of a G6 box
+# (k, l, m) are (u, v, w) in range(l) x range(m) x range(k).  The text of a
+# block is one str.join of its cells with the head, formatted once, before
+# each; G2 joins the cells "s,t\n" of the whole plane, G6 the tails "w,...\n"
+# once per (u, v).  The decimal strings are built once per command.  A cell
+# is written as its text, unquoted: no CSV cell of the CLI holds a comma, a
+# quote or a newline except the classes representative, which _cmd_classes
+# quotes.
 
-def _z3_lines(params: tuple, cells) -> Iterator[str]:
-    return (f"z3,,,,,,,,{lat.b},{lat.c},{lat.a},{lat.e},{lat.f},{lat.d},,\n" for lat, in cells)
-
-
-def _g2_lines(params: tuple, cells) -> Iterator[str]:
-    axis, k, lat = params
-    head = f"g2,{axis},{k},,,,,,{lat.b},{lat.c},{lat.a},,,,"
-    return (f"{head}{s},{t}\n" for s, t in cells)
-
-
-def _g6_lines(params: tuple, cells) -> Iterator[str]:
-    k, l, m = params
-    head = f"g6,,{k},{l},{m},"
-    return (f"{head}{u},{v},{w},,,,,,,,\n" for u, v, w in cells)
+def _z3_text(n: int) -> Iterator[str]:
+    for _, cells in catalog.iter_blocks("g1", n):
+        yield from (f"z3,,,,,,,,{lat.b},{lat.c},{lat.a},{lat.e},{lat.f},{lat.d},,\n" for lat, in cells)
 
 
-_LINES = {"g1": _z3_lines, "g2": _g2_lines, "g6": _g6_lines}
+def _g2_text(n: int) -> Iterator[str]:
+    digits = list(map(str, range(n // 2)))
+    tails = [f",{t}\n" for t in digits]
+    shape = cells = None
+    for (axis, k, lat), _ in catalog.iter_blocks("g2", n):
+        if shape != (lat.b, lat.a):  # the planes of one axis, k and H.b share their cells
+            shape = lat.b, lat.a
+            cells = ["", *[s + t for s in digits[:lat.b] for t in tails[:lat.a]]]
+        yield f"g2,{axis},{k},,,,,,{lat.b},{lat.c},{lat.a},,,,".join(cells)
+
+
+def _g6_text(n: int) -> Iterator[str]:
+    digits = list(map(str, range(n)))
+    tails = ["", *[f"{w},,,,,,,,\n" for w in digits]]
+    for (k, l, m), _ in catalog.iter_blocks("g6", n):
+        head = f"g6,,{k},{l},{m},"
+        row, vs = tails[:k + 1], [f",{v}," for v in digits[:m]]
+        yield "".join([(head + u + v).join(row) for u in digits[:l] for v in vs])
+
+
+_TEXT = {"g1": _z3_text, "g2": _g2_text, "g6": _g6_text}
 
 
 def _csv_lines(n: int, isos: Sequence[str]) -> Iterator[str]:
-    """The CSV lines of the index-n descriptors of the given types, without building one."""
-    for iso in isos:
-        lines = _LINES[iso]
-        for params, cells in catalog.iter_blocks(iso, n):
-            yield from lines(params, cells)
+    """The CSV text of the index-n descriptors of the given types, in pieces of whole lines."""
+    return chain.from_iterable(_TEXT[iso](n) for iso in isos)
 
 
 def _descriptor_csv_row(d: catalog.Descriptor) -> dict:
@@ -84,8 +97,9 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict({key: val for key, val in row.items() if val != ""})
 
 
-# Items per chunk of _emit (by default), joined by one str.join (CSV lines)
-# or encoded by one json.dumps call, and written at once.  One call per item is
+# Items per chunk of _emit: CSV text is joined by one str.join until it holds
+# at least _CHUNK lines, JSON objects are encoded _CHUNK at a time by one
+# json.dumps call, and each chunk is written at once.  One call per item is
 # about twice as slow, and one call for the whole output holds all of its text;
 # 256 JSON objects encode as fast as 1024 and peak at a third of their memory.
 _CHUNK = 256
@@ -112,13 +126,32 @@ def _write_json_list(fh, objs, frame: tuple[str, str] | None = None, chunk: int 
     return count
 
 
+def _to_null_device(stream, process_stream) -> None:
+    """After an I/O error on stream: if it is the process's own, point it at the null device.
+
+    The interpreter flushes stdout and stderr at exit, and a flush that fails
+    there changes the exit code.
+    """
+    if stream is process_stream:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _report(message: str) -> None:
+    """Print one line to stderr; an I/O error on stderr exits with code 2."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null_device(sys.stderr, sys.__stderr__)
+        raise SystemExit(2)
+
+
 @contextmanager
 def _output(path: str | None):
     """The output handle: stdout, or the file at path, opened once.
 
-    An I/O error on it, from opening it to closing it, exits with code 2.  On
-    stdout (a pipe closed early, say) the interpreter's flush at exit would
-    fail the same way, so the process's stdout is pointed at the null device.
+    An I/O error on it, from opening it to closing it, exits with code 2 (a
+    pipe closed early, say).
     """
     try:
         if path is None:
@@ -128,28 +161,38 @@ def _output(path: str | None):
             with open(path, "w", encoding="utf-8") as fh:
                 yield fh
     except OSError as exc:
-        if path is None and sys.stdout is sys.__stdout__:
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"error: cannot write {'stdout' if path is None else path}: {exc}", file=sys.stderr)
+        if path is None:
+            _to_null_device(sys.stdout, sys.__stdout__)
+        _report(f"error: cannot write {'stdout' if path is None else path}: {exc}")
         raise SystemExit(2)
 
 
-def _write_lines(fh, lines) -> int:
-    """Write lines of text, joined a chunk at a time; return their number."""
-    it, count = iter(lines), 0
-    while chunk := list(islice(it, _CHUNK)):
-        fh.write("".join(chunk))
-        count += len(chunk)
-    return count
+def _write_lines(fh, pieces) -> int:
+    """Write text in pieces of whole lines, joined until at least _CHUNK lines; return their number.
+
+    Lines are counted, not pieces: a chunk holds fewer than _CHUNK lines plus
+    one piece, however many lines each piece (an enumerate block) has.
+    """
+    count = held = 0
+    chunk: list[str] = []
+    for piece in pieces:
+        chunk.append(piece)
+        held += piece.count("\n")
+        if held >= _CHUNK:
+            fh.write("".join(chunk))
+            count, held = count + held, 0
+            chunk.clear()
+    fh.write("".join(chunk))
+    return count + held
 
 
 def _emit(path: str | None, fmt: str, header: Sequence[str], rows=(), objs=None,
           frame: tuple[str, str] | None = None, chunk: int = _CHUNK, lines=None) -> int:
     """Write a command's output to path (stdout when None); return the number of items.
 
-    CSV is the header, then the given lines, already CSV text, or else the
-    rows: tuples of the header's length, each cell written as its text.
+    CSV is the header, then the given lines (CSV text in pieces of whole
+    lines), or else the rows: tuples of the header's length, each cell
+    written as its text.
     JSON is the list of objs (by default the rows keyed by the header),
     framed and chunked as in _write_json_list.
     """
@@ -185,8 +228,7 @@ def _cmd_enumerate(args) -> int:
     else:
         ds = chain.from_iterable(catalog.iter_iso(iso, args.index) for iso in isos)
         count = _emit(args.out, "json", (), objs=map(catalog.to_json_dict, ds))
-    print(f"enumerate: index={args.index} type={args.type or 'all'} count={count}",
-          file=sys.stderr)
+    _report(f"enumerate: index={args.index} type={args.type or 'all'} count={count}")
     return 0
 
 
@@ -259,12 +301,11 @@ def _cmd_verify(args) -> int:
                for r in reports for row in r.rows if not row.match]
         bad += [(f"n={r.n} tables_bijective=false", r.failure)
                 for r in reports if r.tables_bijective is False]
-        print("verify: MISMATCH at " + "; ".join(
-            where + (f" ({why})" if why else "") for where, why in bad), file=sys.stderr)
+        _report("verify: MISMATCH at " + "; ".join(
+            where + (f" ({why})" if why else "") for where, why in bad))
         return 1
-    print(f"verify: all cells match for n <= {args.max} "
-          f"(oracle columns for n <= {min(args.max, args.oracle_limit)})",
-          file=sys.stderr)
+    _report(f"verify: all cells match for n <= {args.max} "
+            f"(oracle columns for n <= {min(args.max, args.oracle_limit)})")
     return 0
 
 

@@ -54,9 +54,8 @@ normal forms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import catalog
 from .group import IDENTITY, RELATOR_WORDS, TOKEN_ELEMENT, Element, eval_word, parse_word
@@ -87,17 +86,30 @@ DEFAULT_ORACLE_LIMIT = 16
 HARD_CAP = 64
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """Transitive relator-respecting action of x, y, z on {0..n-1}, basepoint 0.
-
-    Validity (permutations, transitivity, trivial relator action) is asserted
-    on construction, so a CosetTable value is always a genuine subgroup.
-    """
-
+class _Images(NamedTuple):
     x: tuple[int, ...]
     y: tuple[int, ...]
     z: tuple[int, ...]
+
+
+class CosetTable(_Images):
+    """Transitive relator-respecting action of x, y, z on {0..n-1}, basepoint 0.
+
+    Validity (permutations, transitivity, trivial relator action) is asserted
+    by __post_init__ on every construction, _make and _replace included, so a
+    CosetTable value is always a genuine subgroup.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...]) -> "CosetTable":
+        self = super().__new__(cls, x, y, z)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, images: Iterable[tuple[int, ...]]) -> "CosetTable":
+        return cls(*images)
 
     def __post_init__(self) -> None:
         n = len(self.x)
@@ -425,8 +437,7 @@ def descriptor_to_table(d: Descriptor) -> CosetTable:
 # Three-way cross-check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     """One (index, type) cell of the verification report.
 
     Oracle columns are None beyond the oracle limit; match requires every
@@ -457,8 +468,7 @@ class CountRow:
         return all(cat == closed and orc in (None, closed) for closed, cat, orc in columns)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     """Rows of one index, plus whether the oracle and catalog tables coincide.
 
     ``failure`` names the descriptor whose subgroup key raised, with the

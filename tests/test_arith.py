@@ -212,6 +212,15 @@ def test_zeta_product_sieve_matches_convolution_on_random_shifts():
             assert zeta_product(shifts, N) == convolution_chain(shifts, N), (shifts, N)
 
 
+@pytest.mark.parametrize("shifts", [(), (1, 1, 1)], ids=str)
+def test_zeta_product_sieve_matches_convolution_around_prime_squares(shifts):
+    # primes p with p^2 > N take one slice of h_1 and mark no multiples;
+    # at N = p^2 - 1, p^2, p^2 + 1 the prime p sits on either side of sqrt(N)
+    for p in (2, 3, 5, 7, 11, 13):
+        for N in (p * p - 1, p * p, p * p + 1):
+            assert zeta_product(shifts, N) == convolution_chain(shifts, N), (shifts, N)
+
+
 def test_zeta_product_memory():
     # guards peak RSS of `series`: the convolution chain the sieve replaced peaked at 3.6 MB
     tracemalloc.start()
@@ -239,6 +248,39 @@ def test_form_values_alternating_cube_kills_even_indices():
     alt = form_values({"alt": D3_ALTERNATING}, N)["alt"]
     for n in range(1, N + 1):
         assert alt[n - 1] == (d3(n) if n % 2 else 0), n
+
+
+def test_form_values_evaluates_equal_forms_once_into_separate_lists():
+    N = 200
+    # the (g2, c) rows of FORMS and GF_TABLE are equal forms with the terms
+    # 3 and Fraction(3, 1) in the same place
+    forms = {"formula": catalog.FORMS["g2", "c"], "table": table_form("g2", "c"),
+             "int": ((3, 1, SIGMA2), (-1, 2, OMEGA)),
+             "fraction": ((Fraction(3, 1), 1, SIGMA2), (-1, 2, OMEGA)),
+             "other": ((1, 0, OMEGA),)}
+    assert forms["formula"] == forms["table"] and forms["int"] == forms["fraction"]
+    vals = form_values(forms, N)
+    for key, form in forms.items():
+        assert vals[key] == form_values({key: form}, N)[key], key
+    for a, b in [("formula", "table"), ("int", "fraction")]:
+        assert vals[a] == vals[b] and vals[a] is not vals[b]
+        vals[a][0] += 1
+        assert vals[b][0] == vals[a][0] - 1
+    formulas, tables = catalog.series_tables(64)
+    assert sorted(formulas) == sorted(tables) == sorted(catalog._COUNT_KEYS)
+    assert len(formulas) + len(tables) == 12
+
+
+def test_series_tables_drop_each_base_after_its_last_form():
+    # the 12 rows read 4 bases through 7 distinct forms; holding every base
+    # series and a list per row until the end peaks at 7.1 MB, against 4.2 MB
+    tracemalloc.start()
+    try:
+        catalog.series_tables(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20, peak
 
 
 def test_form_values_rejects_fractional_rows():

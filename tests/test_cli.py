@@ -87,6 +87,16 @@ def test_enumerate_csv_matches_the_descriptor_route(capsys):
                 assert descriptor_from_csv_row(_descriptor_csv_row(d)) == d
 
 
+@pytest.mark.parametrize("n", [96, 135, 160])
+def test_enumerate_csv_matches_the_descriptor_route_beyond_48(n, capsys):
+    # G2 planes whose H has a >= 2 and b >= 10 (n = 96, 160), G6 boxes with k >= 3 (n = 135)
+    ds = catalog.enumerate_index(n)
+    code, out, err = run_cli(capsys, "enumerate", "--index", str(n))
+    assert code == 0
+    assert out == descriptor_csv(ds)
+    assert err == f"enumerate: index={n} type=all count={len(ds)}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--max", "1"), ("count", "--max", "300"), ("count", "--max", "1000"),
     ("normal", "--max", "1"), ("normal", "--max", "257"),
@@ -306,7 +316,11 @@ class _HashSink:
     (["series", "--max", "5000", "--out", "PATH"], 4),
     # 498 classes with their 6,699 members; chunks of 256 classes peak at 11.0 MB.
     (["classes", "--index", "64", "--format", "json"], 2),
-], ids=["csv", "json", "csv-odd", "count-json", "normal-json", "series-out", "classes-json"])
+    # 392,448 rows in 1,533 planes of 256 rows: chunks of at least 256 lines
+    # peak at 0.3 MB, chunks of 256 whole planes at 5.8 MB.
+    (["enumerate", "--index", "512", "--type", "g2"], 1),
+], ids=["csv", "json", "csv-odd", "count-json", "normal-json", "series-out", "classes-json",
+        "csv-g2-planes"])
 def test_enumerate_streams_in_bounded_memory(argv, bound_mb, tmp_path, capsys, monkeypatch):
     path = tmp_path / "out.csv"
     argv = [str(path) if arg == "PATH" else arg for arg in argv]
@@ -460,9 +474,14 @@ def test_exit_code_2_on_unwritable_path(capsys):
         assert out == ""
 
 
-def test_closed_stdout_pipe_exits_2_without_a_traceback():
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's hwcover."""
     src = str(Path(hwcover.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback():
+    env = _child_env()
     # about 3 MB of rows, far more than a pipe holds, so the child is still
     # writing when the reader goes away after one line
     proc = subprocess.Popen([sys.executable, "-m", "hwcover.cli", "enumerate", "--index", "256"],
@@ -475,6 +494,33 @@ def test_closed_stdout_pipe_exits_2_without_a_traceback():
     assert "Traceback" not in err
     assert err.startswith("error: cannot write stdout: [Errno 32] Broken pipe"), err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [("verify", "--max", "3", "--oracle-limit", "0"),
+                                  ("enumerate", "--index", "16")], ids=["verify", "enumerate"])
+def test_closed_stderr_pipe_exits_2(argv):
+    # exit 1 is a verify mismatch; an I/O error on stderr is an I/O error
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hwcover.cli", *argv], env=_child_env(),
+                              stdout=subprocess.DEVNULL, stderr=write_end, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
+def test_import_leaves_out_the_introspection_modules():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # a third of the time that importing hwcover.cli took.  The interpreter's
+    # own start-up may import some of them; the check is on what the import adds.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = ("import sys; before = set(sys.modules); import hwcover.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules and m not in before])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_broken_stdout_exits_2(capsys, monkeypatch):
