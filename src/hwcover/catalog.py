@@ -27,11 +27,12 @@ oracle's bridge uses), ``contains`` (g has the label of H) and ``index_of``
 
 Each type's parametrisation is one block walk, ``iter_blocks``: in
 canonical order, the parameters fixed within a block and the cells that
-vary in it.  The Z^3-type subgroups are one block of lattices, a G2 plane
-(axis, k, H) has the cells (s, t), a G6 box (k, l, m) the cells (u, v, w).
-``iter_iso`` reads the descriptors of one type off the blocks and holds one
-at a time; the ``enumerate`` command formats its CSV lines from the blocks
-and builds no descriptor.  ``enumerate_z3``, ``enumerate_g2``,
+vary in it.  A Z^3 block (c, e, f) has the cells (b, d, a), the 2-D Hermite
+forms of index n/4c that complete it to the lattice (c, e, f, b, d, a); a G2
+plane (axis, k, H) has the cells (s, t), a G6 box (k, l, m) the cells
+(u, v, w).  ``iter_iso`` reads the descriptors of one type off the blocks and
+holds one at a time; the ``enumerate`` command formats its CSV lines from the
+blocks and builds no descriptor.  ``enumerate_z3``, ``enumerate_g2``,
 ``enumerate_g6``, ``enumerate_iso`` and ``enumerate_index`` are the same
 descriptors as lists, for callers that index, sample or take the length of
 them.
@@ -74,7 +75,7 @@ from . import arith
 from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
                     form_value)
 from .group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTER_TIMES, LETTERS, SIGNS, Element
-from .lattice import Hnf2, Hnf3, hnf2_all, iter_hnf3, transform2, transform3
+from .lattice import Hnf2, Hnf3, hnf2_all, transform2, transform3
 
 ISO_TYPES = ("g1", "g2", "g6")
 AXES = ("x", "y", "z")
@@ -211,13 +212,21 @@ def _odd_divisors(n: int) -> list[int]:
     return [d for d in divisors(n) if d % 2]
 
 
-Block = tuple[tuple, Iterator[tuple]]  # (params, cells): the descriptors params + cell
+Block = tuple[tuple, Iterable[tuple]]  # (params, cells), shared cells included: see iter_blocks
 
 
 def _z3_blocks(n: int) -> Iterator[Block]:
-    """One block: the index-n/4 lattices, as 1-tuples (none unless 4 | n)."""
-    if n >= 1 and n % 4 == 0:
-        yield (), zip(iter_hnf3(n // 4))
+    """Per (c, e, f), in increasing order, the Hnf2 (b, d, a) of index n/4c (none unless 4 | n).
+
+    params + cell are the Hnf3 fields (c, e, f, b, d, a); the c^2 blocks of one c share one list.
+    """
+    if n < 1 or n % 4:
+        return
+    q = n // 4
+    for c in divisors(q):
+        lower = hnf2_all(q // c)
+        for e, f in product(range(c), repeat=2):
+            yield (c, e, f), lower
 
 
 def _g2_blocks(n: int) -> Iterator[Block]:
@@ -248,19 +257,22 @@ def iter_blocks(iso: str, n: int) -> Iterator[Block]:
     """The index-n subgroups of one type as blocks (params, cells), in canonical order.
 
     The descriptors of a block are params + cell for each of its cells, in
-    order: only the cells vary within a block.
+    order: only the cells vary within a block.  The cells are an iterable;
+    several blocks may share one list of them (Z^3: the c^2 blocks of one
+    c), so no reader may mutate it.
     """
     return _BLOCKS[_known_iso(iso)](n)
 
 
-_DESCRIPTORS = {"g1": Z3Descriptor, "g2": G2Descriptor, "g6": G6Descriptor}
+_DESCRIPTORS = {"g1": Hnf3, "g2": G2Descriptor, "g6": G6Descriptor}
 
 
 def iter_iso(iso: str, n: int) -> Iterator[Descriptor]:
     """Every index-n subgroup of one type, one at a time, read off iter_blocks."""
     make = _DESCRIPTORS[_known_iso(iso)]
-    return chain.from_iterable(starmap(partial(make, *params), cells)
-                               for params, cells in iter_blocks(iso, n))
+    ds = chain.from_iterable(starmap(partial(make, *params), cells)
+                             for params, cells in iter_blocks(iso, n))
+    return map(Z3Descriptor, ds) if iso == "g1" else ds  # a Z3 block's params + cell are an Hnf3
 
 
 def enumerate_z3(n: int) -> list[Z3Descriptor]:

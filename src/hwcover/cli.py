@@ -36,19 +36,26 @@ _CSV_FIELDS = ["type", "axis", "k", "l", "m", "u", "v", "w",
 
 
 # The CSV text of the index-n subgroups of one type, from catalog.iter_blocks,
-# one block at a time (Z3: one line at a time).  The cells of a G2 plane
-# (axis, k, H) are (s, t) in range(H.b) x range(H.a), and those of a G6 box
-# (k, l, m) are (u, v, w) in range(l) x range(m) x range(k).  The text of a
-# block is one str.join of its cells with the head, formatted once, before
-# each; G2 joins the cells "s,t\n" of the whole plane, G6 the tails "w,...\n"
+# one block at a time.  The cells of a Z3 block (c, e, f) are the forms
+# (b, d, a) of hnf2_all(n/4c), those of a G2 plane (axis, k, H) are (s, t) in
+# range(H.b) x range(H.a), and those of a G6 box (k, l, m) are (u, v, w) in
+# range(l) x range(m) x range(k).  The text of a block is one str.join of its
+# cells with the part of a line that the block fixes, formatted once, between
+# them: Z3 joins by "e,f" the pieces of its lines around it, G2 puts its head
+# before each cell "s,t\n" of the whole plane, G6 before each tail "w,...\n"
 # once per (u, v).  The decimal strings are built once per command.  A cell
 # is written as its text, unquoted: no CSV cell of the CLI holds a comma, a
 # quote or a newline except the classes representative, which _cmd_classes
 # quotes.
 
 def _z3_text(n: int) -> Iterator[str]:
-    for _, cells in catalog.iter_blocks("g1", n):
-        yield from (f"z3,,,,,,,,{lat.b},{lat.c},{lat.a},{lat.e},{lat.f},{lat.d},,\n" for lat, in cells)
+    c0 = pieces = None
+    for (c, e, f), lower in catalog.iter_blocks("g1", n):
+        if c != c0:  # the blocks of one c share their cells
+            c0 = c
+            # a line is "z3,,,,,,,,b,c,a," + "e,f" + ",d,,\n": split between the two ends
+            pieces = "".join([f"z3,,,,,,,,{b},{c},{a},|,{d},,\n" for b, d, a in lower]).split("|")
+        yield f"{e},{f}".join(pieces)
 
 
 def _g2_text(n: int) -> Iterator[str]:

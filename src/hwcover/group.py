@@ -157,14 +157,6 @@ class Element(NamedTuple):
         t = base.shift
         return AffineIso(base.signs, (t[0] + 2 * self.a, t[1] + 2 * self.b, t[2] + 2 * self.c))
 
-    def __pow__(self, k: int) -> "Element":  # type: ignore[override]
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = IDENTITY
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __str__(self) -> str:
         parts = [] if self.letter == E else [self.letter]
         parts += [

@@ -7,14 +7,16 @@ are the basis vectors:
     3d:  columns (c, 0, 0), (e, b, 0),     with a, b, c > 0,
                  (f, d, a)                      0 <= e, f < c, 0 <= d < b
 
-Each sublattice has exactly one such basis, the index equals the product of
-the diagonal entries, and the number of index-n sublattices is sigma1(n) in
-2d and omega(n) in 3d (pinned by tests against brute-force enumeration).
+Each sublattice has exactly one such basis, and the index equals the product
+of the diagonal entries.  hnf2_all lists the sigma1(n) index-n sublattices
+in 2d; the omega(n) in 3d are hnf2_all(n / c) as the lower block (b, d, a)
+under each (c, e, f), which catalog walks as the Z^3-type subgroups.  Tests
+pin both counts against brute-force enumeration.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import divisors
 
@@ -32,9 +34,6 @@ class Hnf2(NamedTuple):
 
     def columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (self.b, 0), (self.c, self.a)
-
-    def contains(self, v: tuple[int, int]) -> bool:
-        return self.reduce_coset(*v) == (0, 0)
 
     def reduce_coset(self, s: int, t: int) -> tuple[int, int]:
         """Canonical coset representative in [0, b) x [0, a)."""
@@ -59,9 +58,6 @@ class Hnf3(NamedTuple):
     def columns(self) -> tuple[tuple[int, int, int], ...]:
         return (self.c, 0, 0), (self.e, self.b, 0), (self.f, self.d, self.a)
 
-    def contains(self, v: tuple[int, int, int]) -> bool:
-        return self.reduce_coset(v) == (0, 0, 0)
-
     def reduce_coset(self, v: tuple[int, int, int]) -> tuple[int, int, int]:
         """Canonical coset representative in [0, c) x [0, b) x [0, a)."""
         k, r2 = divmod(v[2], self.a)
@@ -72,20 +68,6 @@ class Hnf3(NamedTuple):
 def hnf2_all(n: int) -> list[Hnf2]:
     """All index-n sublattices of Z^2, in increasing order; sigma1(n) of them."""
     return [Hnf2(b, c, n // b) for b in divisors(n) for c in range(b)]
-
-
-def iter_hnf3(n: int) -> Iterator[Hnf3]:
-    """Every index-n sublattice of Z^3, in increasing order; omega(n) of them.
-
-    The loops run over the fields in their tuple order c, e, f, b, d.
-    """
-    for c in divisors(n):
-        rest = n // c
-        lower = [(b, d, rest // b) for b in divisors(rest) for d in range(b)]
-        for e in range(c):
-            for f in range(c):
-                for b, d, a in lower:
-                    yield Hnf3(c, e, f, b, d, a)
 
 
 def _hnf_columns(cols: Sequence[Sequence[int]], dim: int) -> list[list[int]]:

@@ -87,14 +87,17 @@ def test_enumerate_csv_matches_the_descriptor_route(capsys):
                 assert descriptor_from_csv_row(_descriptor_csv_row(d)) == d
 
 
-@pytest.mark.parametrize("n", [96, 135, 160])
-def test_enumerate_csv_matches_the_descriptor_route_beyond_48(n, capsys):
-    # G2 planes whose H has a >= 2 and b >= 10 (n = 96, 160), G6 boxes with k >= 3 (n = 135)
-    ds = catalog.enumerate_index(n)
-    code, out, err = run_cli(capsys, "enumerate", "--index", str(n))
+@pytest.mark.parametrize("n, iso", [(96, None), (135, None), (160, None), (288, "g1")],
+                         ids=["96", "135", "160", "288-g1"])
+def test_enumerate_csv_matches_the_descriptor_route_beyond_48(n, iso, capsys):
+    # G2 planes whose H has a >= 2 and b >= 10 (n = 96, 160), G6 boxes with k >= 3 (n = 135),
+    # Z3 blocks (c, e, f) with c up to 72 over short lists of cells (b, d, a) (n = 288)
+    ds = catalog.enumerate_index(n) if iso is None else catalog.enumerate_iso(iso, n)
+    type_args = () if iso is None else ("--type", iso)
+    code, out, err = run_cli(capsys, "enumerate", "--index", str(n), *type_args)
     assert code == 0
     assert out == descriptor_csv(ds)
-    assert err == f"enumerate: index={n} type=all count={len(ds)}\n"
+    assert err == f"enumerate: index={n} type={iso or 'all'} count={len(ds)}\n"
 
 
 @pytest.mark.parametrize("argv", [

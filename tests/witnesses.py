@@ -23,24 +23,24 @@ from typing import Iterable, NamedTuple, Sequence
 from hwcover import arith, catalog, cli
 from hwcover.arith import d3, d3_alternating, divisors, form_value
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, Element
-from hwcover.lattice import hnf2_all, hnf2_of, iter_hnf3, transform2, transform3
+from hwcover.lattice import hnf2_all, hnf2_of, transform2, transform3
 
 
 def congruence_contains(d: catalog.Descriptor, g: Element) -> bool:
     """Membership of g in the subgroup of d, by congruences on its exponents."""
     vec = (g.a, g.b, g.c)
     if isinstance(d, catalog.Z3Descriptor):
-        return g.letter == E and d.lattice.contains(vec)
+        return g.letter == E and d.lattice.reduce_coset(vec) == (0, 0, 0)
     if isinstance(d, catalog.G2Descriptor):
         axis, k, lat = d.axis, d.k, d.lattice
         p1, p2 = catalog._PLANE_POS[axis]
         pv = (vec[p1], vec[p2])
         if g.letter == E:
-            return vec[catalog._AXIS_POS[axis]] % k == 0 and lat.contains(pv)
+            return vec[catalog._AXIS_POS[axis]] % k == 0 and lat.reduce_coset(*pv) == (0, 0)
         if g.letter == axis:
             if (2 * vec[catalog._AXIS_POS[axis]] + 1 - k) % (2 * k):
                 return False
-            return lat.contains((pv[0] - d.s, pv[1] - d.t))
+            return lat.reduce_coset(pv[0] - d.s, pv[1] - d.t) == (0, 0)
         return False
     k, l, m = d.k, d.l, d.m
     # reduced translation exponents of the three generators
@@ -167,7 +167,8 @@ def flip_fixed_count_2d(n: int) -> int:
 
 def flip_fixed_count_3d(n: int) -> int:
     """Index-n sublattices of Z^3 fixed by (u, v, w) -> (u, v, -w)."""
-    return sum(1 for h in iter_hnf3(n) if transform3(h, (1, 1, -1)) == h)
+    lats = (d.lattice for d in catalog.iter_iso("g1", 4 * n))
+    return sum(1 for h in lats if transform3(h, (1, 1, -1)) == h)
 
 
 def odd_factorization_identity_holds(n: int) -> bool:
