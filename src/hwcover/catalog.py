@@ -49,7 +49,11 @@ representative and keeps nothing between classes, so it never lists the
 subgroups.  The ``classes`` command and ``class_count`` read it.
 ``conjugacy_classes`` is the generic orbit closure over a set of
 descriptors; the test suite compares the two, and ``classes`` reads the
-members of a class from the closure of its representative.
+members of a class from the closure of its representative.  Every class walk
+takes one step, ``_images``: a descriptor and its conjugates by x, y and z.
+The Z^3 walk reads a class as one such step, the G2 walk labels its classes
+by cosets of K = <H, (2,0), (0,2)>, which ``lattice.hnf2_of`` computes, and
+the closure repeats the step until the orbit stops growing.
 
 Every closed form is one row of :data:`FORMS`, and every count is read from
 its row alone.  ``count_s`` (subgroups), ``count_c`` (conjugacy classes =
@@ -67,7 +71,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product, starmap
-from math import gcd
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -75,7 +78,7 @@ from . import arith
 from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
                     form_value)
 from .group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTER_TIMES, LETTERS, SIGNS, Element
-from .lattice import Hnf2, Hnf3, hnf2_all, transform2, transform3
+from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, transform2, transform3
 
 ISO_TYPES = ("g1", "g2", "g6")
 AXES = ("x", "y", "z")
@@ -427,6 +430,11 @@ def conjugate_descriptor(d: Descriptor, v: Element) -> Descriptor:
 _CONJUGATORS = (GEN_X, GEN_Y, GEN_Z)
 
 
+def _images(d: Descriptor) -> set[Descriptor]:
+    """d and its conjugates by the three generators: the one step of every class walk."""
+    return {d, *(conjugate_descriptor(d, g) for g in _CONJUGATORS)}
+
+
 def conjugacy_classes(ds: Iterable[Descriptor]) -> list[list[Descriptor]]:
     """Partition descriptors of one index into conjugation orbits.
 
@@ -450,12 +458,9 @@ def conjugacy_classes(ds: Iterable[Descriptor]) -> list[list[Descriptor]]:
         orbit = {d}
         frontier = [d]
         while frontier:
-            cur = frontier.pop()
-            for g in _CONJUGATORS:
-                nxt = conjugate_descriptor(cur, g)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
+            new = _images(frontier.pop()) - orbit
+            orbit |= new
+            frontier += new
         seen |= orbit
         classes.append(sorted(orbit))
     return classes
@@ -475,55 +480,33 @@ def _z3_classes(n: int) -> Iterator[Class]:
     yielded at its least member.
     """
     for d in iter_iso("g1", n):
-        images = {d, *(conjugate_descriptor(d, g) for g in _CONJUGATORS)}
+        images = _images(d)
         if min(images) == d:
             yield d, len(images)
-
-
-def _g2_key_lattice(lat: Hnf2) -> Hnf2:
-    """The lattice K = <H, (2,0), (0,2)> whose cosets label partial classes.
-
-    With a odd, (c, a) reduces to (c, 1) mod (0, 2); with a even, to (c, 0).
-    """
-    if lat.a % 2:
-        b = gcd(lat.b, 2)
-        return Hnf2(b, lat.c % b, 1)
-    return Hnf2(gcd(lat.b, lat.c, 2), 0, 2)
-
-
-def _g2_class_pairs(d: G2Descriptor, key: Hnf2) -> set[tuple[Hnf2, tuple[int, int]]]:
-    """The (lattice, K-coset) pairs that the class of d covers.
-
-    Conjugation by a translation moves (s, t) by a vector of 2Z^2 and so fixes
-    the pair: the group acts on the pairs through its quotient by the
-    translations, {1, x, y, z}.  The flipped lattice has the same K, as K
-    contains 2Z^2 and a sign flip fixes Z^2 / 2Z^2.
-    """
-    return {(c.lattice, key.reduce_coset(c.s, c.t))
-            for c in (d, *(conjugate_descriptor(d, g) for g in _CONJUGATORS))}
 
 
 def _g2_classes(n: int) -> Iterator[Class]:
     """A class lies on one (axis, k) and on the plane lattices H and its flip H'.
 
-    It is yielded with the lesser of H and H', from its least coset
+    It is the union of the (lattice, K-coset) pairs that the images of any
+    member cover, with K = <H, (2,0), (0,2)>: conjugation by a translation
+    moves (s, t) by a vector of 2Z^2, inside one K-coset, so the group acts on
+    the pairs through its quotient by the translations, {1, x, y, z}; and H'
+    has the same K, as K contains 2Z^2 and a sign flip fixes Z^2 / 2Z^2.  The
+    class is yielded with the lesser of H and H', from its least coset
     representative there.  Every K-coset holds [K : H] cosets of H, and its
     least member has s, t < 2, since K contains 2Z^2.
     """
     for (axis, k, lat), _ in _g2_blocks(n):
         if transform2(lat, (1, -1)) < lat:
             continue
-        key = _g2_key_lattice(lat)
-        least: dict[tuple[int, int], tuple[int, int]] = {}
-        for s in range(min(lat.b, 2)):
-            for t in range(min(lat.a, 2)):
-                least.setdefault(key.reduce_coset(s, t), (s, t))
+        key = hnf2_of(lat.columns() + ((2, 0), (0, 2)))
         done: set[tuple[int, int]] = set()
-        for coset, (s, t) in least.items():
-            if coset in done:
+        for s, t in product(range(min(lat.b, 2)), range(min(lat.a, 2))):
+            if key.reduce_coset(s, t) in done:
                 continue
             rep = G2Descriptor(axis, k, lat, s, t)
-            pairs = _g2_class_pairs(rep, key)
+            pairs = {(c.lattice, key.reduce_coset(c.s, c.t)) for c in _images(rep)}
             done.update(c for h, c in pairs if h == lat)
             yield rep, len(pairs) * (lat.index // key.index)
 

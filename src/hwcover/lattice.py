@@ -11,7 +11,10 @@ Each sublattice has exactly one such basis, and the index equals the product
 of the diagonal entries.  hnf2_all lists the sigma1(n) index-n sublattices
 in 2d; the omega(n) in 3d are hnf2_all(n / c) as the lower block (b, d, a)
 under each (c, e, f), which catalog walks as the Z^3-type subgroups.  Tests
-pin both counts against brute-force enumeration.
+pin both counts against brute-force enumeration.  hnf2_of and hnf3_of bring
+any spanning set to its form: the G2 class walk reads K = <H, (2,0), (0,2)>
+from hnf2_of, and the oracle reads the subgroup keys of its tables from
+hnf3_of.
 """
 
 from __future__ import annotations

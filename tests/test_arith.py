@@ -307,6 +307,11 @@ def test_gf_rows_agree_with_the_divisor_sum_evaluator(key):
     assert gf_coeffs(*key, N) == [form_value(table_form(*key), n) for n in range(1, N + 1)]
 
 
+def test_gf_coeffs_rejects_an_empty_truncation():
+    with pytest.raises(ValueError, match="truncation order must be >= 1"):
+        gf_coeffs("g1", "s", 0)
+
+
 @pytest.mark.parametrize("key", sorted(catalog.FORMS, key=str), ids=str)
 def test_forms_rows_agree_with_the_one_n_evaluator(key):
     N = 4096

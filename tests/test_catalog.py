@@ -321,43 +321,38 @@ def test_class_count_agrees_with_closure_and_closed_form():
 
 
 def test_partial_class_keys_match_true_orbit_closure():
-    # a partial class is an orbit under conjugation by Gamma_x = <x, y^2, z^2>
-    # alone; the fast path labels it by (k, H, h mod <H, (2,0), (0,2)>).
+    # a partial class is an orbit under conjugation by Gamma_axis = <axis, the squares
+    # of the other two generators> alone; the class walk labels it by
+    # (k, H, h mod K) with K = <H, (2,0), (0,2)>, on every axis.
     from collections import defaultdict
 
-    from hwcover.catalog import _g2_key_lattice
+    from hwcover.group import GENERATORS
+    from hwcover.lattice import hnf2_of
 
-    gamma_gens = (GEN_X, translation(0, 1, 0), translation(0, 0, 1))
-    for n in (2, 4, 6, 8, 12, 16, 20):
-        ds = [d for d in enumerate_g2(n) if d.axis == "x"]
-        seen, orbits = set(), []
-        for d in ds:
-            if d in seen:
-                continue
-            orbit, frontier = {d}, [d]
-            while frontier:
-                cur = frontier.pop()
-                for g in gamma_gens:
-                    nxt = conjugate_descriptor(cur, g)
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-            seen |= orbit
-            orbits.append(orbit)
-        buckets = defaultdict(set)
-        for d in ds:
-            key_lat = _g2_key_lattice(d.lattice)
-            buckets[d.k, d.lattice, key_lat.reduce_coset(d.s, d.t)].add(d)
-        assert sorted(map(sorted, orbits)) == sorted(map(sorted, buckets.values())), n
-
-
-def test_key_lattice_is_the_hnf_of_h_and_2z2():
-    from hwcover.catalog import _g2_key_lattice
-    from hwcover.lattice import hnf2_all, hnf2_of
-
-    for n in range(1, 65):
-        for lat in hnf2_all(n):
-            assert _g2_key_lattice(lat) == hnf2_of(lat.columns() + ((2, 0), (0, 2))), lat
+    squares = {"x": translation(1, 0, 0), "y": translation(0, 1, 0), "z": translation(0, 0, 1)}
+    for axis in catalog.AXES:
+        gamma_gens = (GENERATORS[axis], *(squares[a] for a in catalog.AXES if a != axis))
+        for n in (2, 4, 6, 8, 12, 16, 20, 24):
+            ds = [d for d in enumerate_g2(n) if d.axis == axis]
+            seen, orbits = set(), []
+            for d in ds:
+                if d in seen:
+                    continue
+                orbit, frontier = {d}, [d]
+                while frontier:
+                    cur = frontier.pop()
+                    for g in gamma_gens:
+                        nxt = conjugate_descriptor(cur, g)
+                        if nxt not in orbit:
+                            orbit.add(nxt)
+                            frontier.append(nxt)
+                seen |= orbit
+                orbits.append(orbit)
+            buckets = defaultdict(set)
+            for d in ds:
+                key = hnf2_of(d.lattice.columns() + ((2, 0), (0, 2)))
+                buckets[d.k, d.lattice, key.reduce_coset(d.s, d.t)].add(d)
+            assert sorted(map(sorted, orbits)) == sorted(map(sorted, buckets.values())), (axis, n)
 
 
 def test_mixed_index_rejected():

@@ -176,6 +176,8 @@ def test_classes_bytes_pinned(tmp_path, capsys):
             "fa00849a5f4a5e946ae4e3a57d741f223a4d1ecbfa2db742b4ce54d2a7d49f79",
         ("--index", "64", "--type", "g2", "--format", "json"):
             "0e4d1ac16140dddda8511dcb4776385b64b4da3fbad21caba550ca1406450b2a",
+        ("--index", "200", "--type", "g2"):
+            "432548f57c13ac05a94d43ee8e05f328186a63417c43c29037c44954b3b13148",
     }
     path = tmp_path / "classes.txt"
     for argv, expected in pinned.items():
@@ -440,6 +442,11 @@ def test_exit_code_2_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "0"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max", "4", "--oracle-limit", "-1"])  # below zero
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
     # text that is not an integer is named as such, without the parser's private names;
     # an integer is ASCII digits after an optional '-', as in a descriptor field, so
     # int()'s other spellings (a non-ASCII digit, an underscore, spaces, a '+') are not

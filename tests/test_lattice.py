@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from hwcover import catalog
 from hwcover.arith import sigma1, omega
 from hwcover.lattice import (
@@ -158,3 +160,9 @@ def test_redundant_generators_are_fine():
     g = hnf3_of([(2, 0, 0), (0, 2, 0), (1, 1, 1), (3, 1, 1)])
     assert isinstance(g, Hnf3)
     assert g.reduce_coset((3, 1, 1)) == (0, 0, 0)
+
+
+def test_rank_deficient_generators_are_rejected():
+    # all on one line through the origin: no finite-index sublattice of Z^2
+    with pytest.raises(ValueError, match="do not span"):
+        hnf2_of([(2, 4), (1, 2), (3, 6)])

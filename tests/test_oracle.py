@@ -103,6 +103,13 @@ def test_table_validation_rejects_garbage():
         CosetTable((0, 1), (0, 1), (0, 1))
 
 
+def test_replace_validates_through_make():
+    t = low_index(2)[0]
+    assert t._replace(x=t.x) == t
+    with pytest.raises(ValueError, match="not permutations"):
+        t._replace(x=(0, 0))
+
+
 def test_low_index_small_counts():
     assert len(low_index(1)) == 1
     assert len(low_index(2)) == 3
@@ -275,6 +282,20 @@ def test_enumeration_error_on_inconsistent_descriptor():
         descriptor_to_table(bogus)
 
 
+@pytest.mark.parametrize("shift, message", [(1, "enumeration closed at 4 cosets, descriptor says 5"),
+                                            (-1, "more than 3 cosets found")])
+def test_enumeration_error_when_the_stated_index_is_wrong(monkeypatch, shift, message):
+    d = catalog.enumerate_g2(4)[0]
+    real = catalog._coset_labels
+
+    def misstated(d):
+        key, index = real(d)
+        return key, index + shift
+    monkeypatch.setattr(catalog, "_coset_labels", misstated)
+    with pytest.raises(EnumerationError, match=message):
+        descriptor_to_table(d)
+
+
 # --- cross-check reports -------------------------------------------------------
 
 def test_cross_check_small():
@@ -312,6 +333,11 @@ def test_csv_rows_shape():
 def test_hard_cap_guard():
     with pytest.raises(ValueError):
         low_index(65, search_limit=65)
+
+
+def test_no_tables_of_index_zero():
+    assert low_index(0) == ()
+    assert oracle._tables_up_to(0) == {}  # without a search, which would find the whole group
 
 
 def _swap_one_key(monkeypatch, victim, replacement):
@@ -358,6 +384,21 @@ def test_cross_check_names_the_descriptor_whose_table_fails(monkeypatch):
     rep = cross_check(8, oracle_limit=8)
     assert rep.tables_bijective is False
     assert rep.failure == f"{victim!r}: EnumerationError: closed early"
+
+
+def test_cross_check_reports_a_failing_enumeration_in_its_row(monkeypatch):
+    real = catalog.enumerate_iso
+
+    def enumerate_iso(iso, n):
+        if iso == "g2":
+            raise RuntimeError("no planes")
+        return real(iso, n)
+    monkeypatch.setattr(catalog, "enumerate_iso", enumerate_iso)
+    rep = cross_check(2, oracle_limit=2)
+    g2 = next(r for r in rep.rows if r.iso == "g2")
+    assert g2.s_catalog is None and g2.failure == "RuntimeError: no planes"
+    assert g2.c_catalog == g2.s_closed == 3
+    assert rep.tables_bijective is False and not rep.all_match
 
 
 def test_cross_check_names_the_relator_a_faulty_arithmetic_breaks(monkeypatch):
