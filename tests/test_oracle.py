@@ -101,9 +101,7 @@ def test_table_validation_rejects_garbage():
     with pytest.raises(ValueError):
         # intransitive: everything trivial on 2 points
         CosetTable((0, 1), (0, 1), (0, 1))
-
-
-def test_replace_validates_through_make():
+    # _replace builds through _make, so it validates too
     t = low_index(2)[0]
     assert t._replace(x=t.x) == t
     with pytest.raises(ValueError, match="not permutations"):
@@ -111,6 +109,8 @@ def test_replace_validates_through_make():
 
 
 def test_low_index_small_counts():
+    assert low_index(0) == ()
+    assert oracle._tables_up_to(0) == {}  # without a search, which would find the whole group
     assert len(low_index(1)) == 1
     assert len(low_index(2)) == 3
     assert len(low_index(4, search_limit=8)) == 19
@@ -333,11 +333,6 @@ def test_csv_rows_shape():
 def test_hard_cap_guard():
     with pytest.raises(ValueError):
         low_index(65, search_limit=65)
-
-
-def test_no_tables_of_index_zero():
-    assert low_index(0) == ()
-    assert oracle._tables_up_to(0) == {}  # without a search, which would find the whole group
 
 
 def _swap_one_key(monkeypatch, victim, replacement):
