@@ -52,8 +52,8 @@ descriptors; the test suite compares the two, and ``classes`` reads the
 members of a class from the closure of its representative.  Every class walk
 takes one step, ``_images``: a descriptor and its conjugates by x, y and z.
 The Z^3 walk reads a class as one such step, the G2 walk labels its classes
-by cosets of K = <H, (2,0), (0,2)>, which ``lattice.hnf2_of`` computes, and
-the closure repeats the step until the orbit stops growing.
+by cosets of K = <H, (2,0), (0,2)>, which ``lattice.hnf2_of`` computes once
+for each parity of H's entries, and the closure repeats the step until the orbit stops growing.
 
 Every closed form is one row of :data:`FORMS`, and every count is read from
 its row alone.  ``count_s`` (subgroups), ``count_c`` (conjugacy classes =
@@ -495,12 +495,17 @@ def _g2_classes(n: int) -> Iterator[Class]:
     has the same K, as K contains 2Z^2 and a sign flip fixes Z^2 / 2Z^2.  The
     class is yielded with the lesser of H and H', from its least coset
     representative there.  Every K-coset holds [K : H] cosets of H, and its
-    least member has s, t < 2, since K contains 2Z^2.
+    least member has s, t < 2, since K contains 2Z^2.  K depends on H only
+    through its entries mod 2, so it is computed once per parity.
     """
+    keys: dict[tuple[int, int, int], Hnf2] = {}
     for (axis, k, lat), _ in _g2_blocks(n):
         if transform2(lat, (1, -1)) < lat:
             continue
-        key = hnf2_of(lat.columns() + ((2, 0), (0, 2)))
+        parity = (lat.b % 2, lat.c % 2, lat.a % 2)
+        if parity not in keys:
+            keys[parity] = hnf2_of(lat.columns() + ((2, 0), (0, 2)))
+        key = keys[parity]
         done: set[tuple[int, int]] = set()
         for s, t in product(range(min(lat.b, 2)), range(min(lat.a, 2))):
             if key.reduce_coset(s, t) in done:

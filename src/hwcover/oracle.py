@@ -9,18 +9,22 @@ with a marked basepoint (the subgroup is the basepoint stabilizer).  The
 relators are the first three of ``group.RELATOR_WORDS``.  The search is the
 classical low-index backtrack: fill coset-table entries in scan order,
 propagate relator consequences after every definition, and introduce new
-cosets in first-appearance order so that each *subgroup* (not each
-conjugacy class) is produced exactly once.  Its column order x, x^-1, y,
-y^-1, z, z^-1 is also the relabeling's, so every table it returns is
-standardized (Sims): its own base-0 form.
+cosets in first-appearance order so that each subgroup is met exactly once.
+Its column order x, x^-1, y, y^-1, z, z^-1 is also the relabeling's, so
+every table it meets is standardized (Sims): its own base-0 form.
 
-Conjugacy classes are recovered afterwards by canonical relabeling: two
-stabilizers are conjugate exactly when their tables agree after forgetting
-the basepoint, i.e. when they share the minimum-over-basepoints canonical
-form.  The n basepoint relabelings of one table are exactly the base-0
-forms of its class members, so each class is relabeled once, for its first
-member seen; forms are plain tuples, and only tables handed out of the
-module are validated.
+Conjugacy classes are found during the search, not relabeled afterwards.
+Two stabilizers are conjugate exactly when their tables agree after
+forgetting the basepoint, and the n basepoint relabelings of one table are
+the base-0 forms of its class members.  The search keeps a table only if no
+relabeling from another coset is less in row-major (coset, column) order,
+and prunes every partial table that such a relabeling already beats, so it
+keeps one table per class.  With it comes its Fix set, the cosets whose
+stabilizer is the basepoint's: the blocks Fix g are the class members, so
+``low_index`` expands a class into its subgroups and ``cross_check`` reads
+one key per block.  Kept tables are plain tuples; only tables handed out of
+the module are validated.  ``classes_of`` groups tables given from outside
+by the least of their relabelings.
 
 The cross-check compares the subgroups of both sides by key, and reads no
 coset table off a descriptor.  The subgroup H meets the translations Lambda
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import catalog
@@ -83,13 +88,27 @@ _ROT: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
 )
 
 DEFAULT_ORACLE_LIMIT = 16
-HARD_CAP = 64
+HARD_CAP = 96
 
 
 class _Images(NamedTuple):
+    """Images of x, y, z on the points 0 .. degree - 1, not validated."""
+
     x: tuple[int, ...]
     y: tuple[int, ...]
     z: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.x)
+
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        """Images per column (x, x^-1, y, y^-1, z, z^-1)."""
+        return (
+            self.x, _inverse_perm(self.x),
+            self.y, _inverse_perm(self.y),
+            self.z, _inverse_perm(self.z),
+        )
 
 
 class CosetTable(_Images):
@@ -128,18 +147,6 @@ class CosetTable(_Images):
         if len(_reach(0, (self.x, self.y, self.z))) != n:
             raise ValueError("action is not transitive")
 
-    @property
-    def degree(self) -> int:
-        return len(self.x)
-
-    def perms(self) -> tuple[tuple[int, ...], ...]:
-        """Images per column (x, x^-1, y, y^-1, z, z^-1)."""
-        return (
-            self.x, _inverse_perm(self.x),
-            self.y, _inverse_perm(self.y),
-            self.z, _inverse_perm(self.z),
-        )
-
 
 def _inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(p)
@@ -164,10 +171,27 @@ def _reach(start: int, perms: Sequence[Sequence[int]]) -> dict[int, int]:
 # Low-index search
 # ---------------------------------------------------------------------------
 
-def _search(max_index: int) -> list[CosetTable]:
-    """All complete tables on at most max_index cosets, each subgroup once."""
+# A class representative: the table, and its Fix set, the points whose
+# stabilizer is the basepoint's (0 first, then ascending).
+_Rep = tuple[_Images, tuple[int, ...]]
+
+
+def _search(max_index: int) -> list[_Rep]:
+    """One table per conjugacy class on at most max_index cosets, each with its Fix set.
+
+    The backtrack meets standardized tables only; it keeps the one that is
+    the least relabeling of its class in row-major (coset, column) order.
+    Each coset b gets a cursor when it is created: the breadth-first
+    relabeling from b, compared with the table itself up to the first entry
+    undefined on either side.  A node only adds entries, so a comparison
+    once decided holds in every completion: a relabeling that is less
+    prunes the subtree, and one that is greater drops b for the subtree.
+    The cursors left at a complete table are those of the b whose
+    relabeling is the table itself, that is whose stabilizer is the
+    basepoint's.
+    """
     table: list[list[int | None]] = [[None] * _COLS]
-    results: list[CosetTable] = []
+    results: list[_Rep] = []
 
     def set_entry(c: int, g: int, d: int, trail: list[tuple[int, int]]) -> None:
         table[c][g] = d
@@ -227,17 +251,42 @@ def _search(max_index: int) -> list[CosetTable]:
                     return c, g
         return None
 
-    def extend(c: int, g: int) -> None:
+    def resume(cursor: list) -> int:
+        """Compare b's relabeling with the table from the cursor on.
+
+        A cursor is [b, row, column, order, pos]: the breadth-first order of
+        the cosets from b, so far, and each one's number in it.  Returns -1
+        if the relabeling is less, 1 if it is greater, else 0 with the cursor
+        left at the first undefined entry, or past the last row once the
+        table is complete.
+        """
+        _, k, g, order, pos = cursor
+        while k < len(order):
+            row, own = table[order[k]], table[k]
+            while g < _COLS:
+                d, e = row[g], own[g]
+                if d is None or e is None:
+                    cursor[1], cursor[2] = k, g
+                    return 0
+                q = pos.get(d)
+                if q is None:
+                    q = pos[d] = len(order)
+                    order.append(d)
+                if q != e:
+                    return -1 if q < e else 1
+                g += 1
+            k, g = k + 1, 0
+        cursor[1], cursor[2] = k, g
+        return 0
+
+    def extend(c: int, g: int, live: list[list]) -> None:
         # Every entry before the parent's gap (c, g) was filled in the parent,
         # and a branch only fills entries (undo restores them on the way
         # back), so the scan for the next gap resumes at (c, g).
         gap = first_gap(c, g)
         if gap is None:
-            results.append(CosetTable(
-                x=tuple(row[0] for row in table),
-                y=tuple(row[2] for row in table),
-                z=tuple(row[4] for row in table),
-            ))
+            images = _Images(*(tuple(row[g] for row in table) for g in (0, 2, 4)))
+            results.append((images, (0, *(cursor[0] for cursor in live))))
             return
         c, g = gap
         n = len(table)
@@ -249,34 +298,83 @@ def _search(max_index: int) -> list[CosetTable]:
             trail: list[tuple[int, int]] = []
             set_entry(c, g, d, trail)
             if propagate([(c, g)], trail):
-                extend(c, g)
+                cursors = live + [[n, 0, 0, [n], {n: 0}]] if d == n else live
+                moved = []  # each cursor that resumes, with the state to restore
+                kept = []
+                for cursor in cursors:
+                    _, k, h, order, _ = cursor
+                    if table[order[k]][h] is None or table[k][h] is None:
+                        kept.append(cursor)  # held up by the same entry as before
+                        continue
+                    moved.append((cursor, k, h, len(order)))
+                    verdict = resume(cursor)
+                    if verdict < 0:
+                        break
+                    if verdict == 0:
+                        kept.append(cursor)
+                else:
+                    extend(c, g, kept)
+                for cursor, k, h, m in moved:
+                    cursor[1], cursor[2] = k, h
+                    order, pos = cursor[3], cursor[4]
+                    for p in order[m:]:
+                        del pos[p]
+                    del order[m:]
             undo(trail)
         del table[n:]
 
-    extend(0, 0)
+    extend(0, 0, [])
     return results
 
 
 @lru_cache(maxsize=8)
-def _tables_up_to(max_index: int) -> dict[int, tuple[CosetTable, ...]]:
-    """The tables on at most max_index cosets by degree, each in search order."""
+def _tables_up_to(max_index: int) -> dict[int, tuple[_Rep, ...]]:
+    """The class representatives on at most max_index cosets by degree, in search order."""
     if max_index < 1:
         return {}
     if max_index > HARD_CAP:
         raise ValueError(f"index limit {max_index} exceeds the hard cap {HARD_CAP}")
-    by_degree: dict[int, list[CosetTable]] = {}
-    for t in _search(max_index):
-        by_degree.setdefault(t.degree, []).append(t)
-    return {n: tuple(tables) for n, tables in by_degree.items()}
+    by_degree: dict[int, list[_Rep]] = {}
+    for rep in _search(max_index):
+        by_degree.setdefault(rep[0].degree, []).append(rep)
+    return {n: tuple(reps) for n, reps in by_degree.items()}
+
+
+def _blocks(t: _Images, fix: Sequence[int]) -> list[int]:
+    """One point of each block Fix g, the points with a common stabilizer.
+
+    These blocks are permuted by the action, and the image of a block is the
+    block of the image of any of its points, so walking them from Fix visits
+    each point once.  There is one block per member of the class.
+    """
+    seen = set(fix)
+    blocks = [list(fix)]
+    for points in blocks:  # blocks grows while it is scanned
+        for perm in t:
+            if perm[points[0]] not in seen:
+                image = [perm[p] for p in points]
+                seen.update(image)
+                blocks.append(image)
+    return [points[0] for points in blocks]
+
+
+def _row_major(t: _Images) -> tuple[int, ...]:
+    """The table read row by row over the columns x, x^-1, y, y^-1, z, z^-1."""
+    return tuple(chain.from_iterable(zip(*t.perms())))
 
 
 def low_index(n: int, search_limit: int | None = None) -> tuple[CosetTable, ...]:
     """Coset tables of all index-n subgroups, each exactly once.
 
-    search_limit (>= n) selects the cached search run to draw from, so a
-    loop over n = 1..N with search_limit=N triggers a single backtrack.
+    Each is the standardized table of its subgroup, and they come in the
+    order of their row-major forms, the order an unpruned backtrack finds
+    them in.  search_limit (>= n) selects the cached search run to draw
+    from, so a loop over n = 1..N with search_limit=N triggers a single
+    backtrack.
     """
-    return _tables_up_to(max(n, search_limit or 0)).get(n, ())
+    reps = _tables_up_to(max(n, search_limit or 0)).get(n, ())
+    return tuple(sorted((canonical_table(t, b) for t, fix in reps for b in _blocks(t, fix)),
+                        key=_row_major))
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +391,19 @@ def _subgroup_key(lattice: Hnf3, reps: Iterable[tuple[str, tuple[int, int, int]]
     return lattice, tuple(sorted((letter, lattice.reduce_coset(v)) for letter, v in reps))
 
 
-def table_key(t: CosetTable) -> tuple:
-    """Subgroup key of the basepoint stabilizer H, read off the table.
+def table_key(t: CosetTable, base: int = 0) -> tuple:
+    """Subgroup key of the stabilizer H of base (by default the basepoint), read off the table.
 
-    The orbit of the basepoint under the squares x^2, y^2, z^2 is the set of
-    cosets H lambda; walking it from 0 gives each point p a half-exponent
+    The orbit of base under the squares x^2, y^2, z^2 is the set of
+    cosets H lambda; walking it from base gives each point p a half-exponent
     vector v(p) with H lambda_v(p) = p.  An edge p -> q along the i-th square
     puts lambda of v(p) + e_i - v(q) in T = H meet Lambda, and these
     Schreier generators span T.  A letter l with 0 l = q in the orbit puts
     l lambda_-v(q) in H.
     """
     x, y, z = t.x, t.y, t.z
-    vec = {0: (0, 0, 0)}
-    order = [0]
+    vec = {base: (0, 0, 0)}
+    order = [base]
     schreier = set()
     for p in order:  # order grows while it is scanned
         a, b, c = vec[p]
@@ -318,7 +416,7 @@ def table_key(t: CosetTable) -> tuple:
                 schreier.add((w[0] - u[0], w[1] - u[1], w[2] - u[2]))
     return _subgroup_key(hnf3_of(schreier), (
         (letter, (-v[0], -v[1], -v[2]))
-        for letter, perm in zip("xyz", (x, y, z)) if (v := vec.get(perm[0])) is not None))
+        for letter, perm in zip("xyz", (x, y, z)) if (v := vec.get(perm[base])) is not None))
 
 
 def descriptor_key(d: Descriptor) -> tuple:
@@ -534,13 +632,13 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     oracle_c: Counter[str] = Counter()
     oracle_keys: Counter[tuple] = Counter()
     if use_oracle:
-        tables = low_index(n, search_limit=oracle_limit)
-        forms = [t.x + t.y + t.z for t in tables]  # searched tables are standardized
-        keys = [table_key(t) for t in tables]
-        types = [_key_type(key) for key in keys]
-        oracle_keys.update(keys)
-        oracle_s.update(types)
-        oracle_c.update(iso for iso, _ in set(zip(types, _class_keys(tables, forms))))
+        reps = _tables_up_to(oracle_limit).get(n, ())
+        for t, fix in reps:
+            keys = [table_key(t, b) for b in _blocks(t, fix)]  # one per class member
+            oracle_keys.update(keys)
+            iso = _key_type(keys[0])
+            oracle_s[iso] += len(keys)
+            oracle_c[iso] += 1
 
     rows = []
     bijective: bool | None = None
@@ -589,7 +687,8 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
         if differ and failure is None:
             k = min(differ)
             if oracle_keys[k]:
-                t = tables[keys.index(k)]
+                t = next(canonical_table(t, b) for t, fix in reps for b in _blocks(t, fix)
+                         if table_key(t, b) == k)
                 named = f"table x={t.x} y={t.y} z={t.z}"
             else:
                 named = repr(descriptor_of[k])

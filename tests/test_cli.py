@@ -437,7 +437,7 @@ def test_exit_code_2_on_bad_flags(capsys):
         main(["verify", "--max", "4", "--oracle-limit", "99"])  # above hard cap
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--max", "4", "--oracle-limit", "65"])  # one above hard cap
+        main(["verify", "--max", "4", "--oracle-limit", "97"])  # one above hard cap
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "0"])

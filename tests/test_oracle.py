@@ -9,6 +9,7 @@ from hwcover import arith, catalog, oracle
 from hwcover.group import GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTERS, TOKEN_ELEMENT, Element
 from hwcover.lattice import Hnf2, Hnf3
 from hwcover.oracle import (
+    HARD_CAP,
     CosetTable,
     EnumerationError,
     canonical_table,
@@ -21,6 +22,7 @@ from hwcover.oracle import (
     stabilizer_type,
     table_key,
 )
+from witnesses import unpruned_search
 
 ISO = ("g1", "g2", "g6")
 
@@ -90,6 +92,36 @@ def test_normal_subgroups_are_the_singleton_classes_of_the_presentation():
             assert normal == arith.form_value(catalog.FORMS[rows[iso]], n), (n, iso)
             if (n, iso) == (32, "g1"):
                 assert normal == 37  # the published closed form says 39
+
+
+def test_pruned_search_keeps_one_table_per_class_of_the_unpruned_search():
+    # The unpruned backtrack finds every subgroup.  Grouped by the least
+    # row-major relabeling of its table, it gives each class's representative,
+    # size and member keys, which the pruned search must read off its one
+    # table per class and that table's Fix set.
+    row_major = oracle._row_major
+    found = {}
+    for t in unpruned_search(32):
+        found.setdefault(t.degree, []).append(t)
+    searched = oracle._tables_up_to(32)
+    for n in range(1, 33):
+        assert low_index(n, search_limit=32) == tuple(found[n]), n  # the same tables, in search order
+        least = {}
+        sizes, keys = Counter(), Counter()
+        for t in found[n]:
+            if row_major(t) not in least:
+                forms = {row_major(canonical_table(t, b)) for b in range(n)}
+                least.update(dict.fromkeys(forms, min(forms)))
+            sizes[least[row_major(t)]] += 1
+            keys[table_key(t)] += 1
+        pruned_sizes, pruned_keys = Counter(), Counter()
+        for t, fix in searched[n]:
+            members = oracle._blocks(t, fix)
+            assert len(members) == n // len(fix) and n % len(fix) == 0, (t, fix)
+            pruned_sizes[row_major(t)] += len(members)
+            pruned_keys.update(table_key(t, b) for b in members)
+        assert pruned_sizes == sizes, n
+        assert pruned_keys == keys, n
 
 
 def test_table_validation_rejects_garbage():
@@ -331,8 +363,9 @@ def test_csv_rows_shape():
 
 
 def test_hard_cap_guard():
+    assert HARD_CAP == 96
     with pytest.raises(ValueError):
-        low_index(65, search_limit=65)
+        low_index(97, search_limit=97)
 
 
 def _swap_one_key(monkeypatch, victim, replacement):

@@ -9,9 +9,11 @@ routes.  Each returns what it counted and checks nothing itself; the
 divisor sums, not by their Euler products.  ``congruence_contains`` tests
 membership by congruences on the exponents, derived per type by hand, where
 the library reads one coset structure from ``catalog.cosets``.
-``csv_text`` writes rows through ``csv.writer``, where the CLI formats each
-line from one template per header and quotes the one cell that needs it
-itself; ``descriptor_csv`` writes the ``enumerate`` CSV by it over the cells
+``unpruned_search`` is the low-index backtrack without the class pruning of
+``oracle._search``: it yields every subgroup, not one table per conjugacy
+class.  ``csv_text`` writes rows through ``csv.writer``, where the CLI
+formats each line from one template per header and quotes the one cell that
+needs it itself; ``descriptor_csv`` writes the ``enumerate`` CSV by it over the cells
 of each descriptor, where the command formats its lines from the catalog's
 parameter blocks.
 """
@@ -24,6 +26,7 @@ from hwcover import arith, catalog, cli
 from hwcover.arith import d3, d3_alternating, divisors, form_value
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, Element
 from hwcover.lattice import hnf2_all, hnf2_of, transform2, transform3
+from hwcover.oracle import _COLS, _ROT, CosetTable
 
 
 def congruence_contains(d: catalog.Descriptor, g: Element) -> bool:
@@ -198,3 +201,93 @@ NESTED_DIVISOR_SUMS = {
     arith.OMEGA: lambda n: sum(d * _sigma1(d) for d in divisors(n)),
     arith.N_D3: lambda n: n * _d3(n),
 }
+
+
+def unpruned_search(max_index: int) -> list[CosetTable]:
+    """All complete tables on at most max_index cosets, each subgroup once, in search order."""
+    table: list[list[int | None]] = [[None] * _COLS]
+    results: list[CosetTable] = []
+
+    def set_entry(c: int, g: int, d: int, trail: list[tuple[int, int]]) -> None:
+        table[c][g] = d
+        table[d][g ^ 1] = c
+        trail.append((c, g))
+        trail.append((d, g ^ 1))
+
+    def scan(start: int, word: tuple[int, ...],
+             queue: list[tuple[int, int]], trail: list[tuple[int, int]]) -> bool:
+        """Trace one relator cycle; fill a single gap or report a clash."""
+        f, i = start, 0
+        L = len(word)
+        while i < L:
+            nxt = table[f][word[i]]
+            if nxt is None:
+                break
+            f = nxt
+            i += 1
+        if i == L:
+            return f == start
+        b, j = start, L
+        while j > i + 1:
+            nxt = table[b][word[j - 1] ^ 1]
+            if nxt is None:
+                break
+            b = nxt
+            j -= 1
+        if j == i + 1:
+            if table[b][word[i] ^ 1] is not None:
+                return False  # the edge into b is already taken
+            set_entry(f, word[i], b, trail)
+            queue.append((f, word[i]))
+        return True
+
+    def propagate(queue: list[tuple[int, int]], trail: list[tuple[int, int]]) -> bool:
+        while queue:
+            c, g = queue.pop()
+            d = table[c][g]
+            for word in _ROT[g]:
+                if not scan(c, word, queue, trail):
+                    return False
+            for word in _ROT[g ^ 1]:
+                if not scan(d, word, queue, trail):
+                    return False
+        return True
+
+    def undo(trail: list[tuple[int, int]]) -> None:
+        for c, g in trail:
+            table[c][g] = None
+
+    def first_gap(c0: int, g0: int) -> tuple[int, int] | None:
+        """The first empty entry at or after (c0, g0) in row-major order."""
+        for c in range(c0, len(table)):
+            row = table[c]
+            for g in range(g0 if c == c0 else 0, _COLS):
+                if row[g] is None:
+                    return c, g
+        return None
+
+    def extend(c: int, g: int) -> None:
+        gap = first_gap(c, g)
+        if gap is None:
+            results.append(CosetTable(
+                x=tuple(row[0] for row in table),
+                y=tuple(row[2] for row in table),
+                z=tuple(row[4] for row in table),
+            ))
+            return
+        c, g = gap
+        n = len(table)
+        for d in range(n + (n < max_index)):
+            if d == n:  # a new coset, defined by this entry
+                table.append([None] * _COLS)
+            elif table[d][g ^ 1] is not None:
+                continue
+            trail: list[tuple[int, int]] = []
+            set_entry(c, g, d, trail)
+            if propagate([(c, g)], trail):
+                extend(c, g)
+            undo(trail)
+        del table[n:]
+
+    extend(0, 0)
+    return results
