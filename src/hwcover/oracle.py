@@ -11,7 +11,10 @@ classical low-index backtrack: fill coset-table entries in scan order,
 propagate relator consequences after every definition, and introduce new
 cosets in first-appearance order so that each subgroup is met exactly once.
 Its column order x, x^-1, y, y^-1, z, z^-1 is also the relabeling's, so
-every table it meets is standardized (Sims): its own base-0 form.
+every table it meets is standardized (Sims): its own base-0 form.  One core,
+``_backtrack``, holds the partial table, the propagation and the branch
+step; the class-pruned ``_search`` below and the test suite's unpruned
+witness both drive it.
 
 Conjugacy classes are found during the search, not relabeled afterwards.
 Two stabilizers are conjugate exactly when their tables agree after
@@ -176,22 +179,16 @@ def _reach(start: int, perms: Sequence[Sequence[int]]) -> dict[int, int]:
 _Rep = tuple[_Images, tuple[int, ...]]
 
 
-def _search(max_index: int) -> list[_Rep]:
-    """One table per conjugacy class on at most max_index cosets, each with its Fix set.
+def _backtrack(max_index: int):
+    """The backtrack's partial table and its steps: (table, first_gap, children).
 
-    The backtrack meets standardized tables only; it keeps the one that is
-    the least relabeling of its class in row-major (coset, column) order.
-    Each coset b gets a cursor when it is created: the breadth-first
-    relabeling from b, compared with the table itself up to the first entry
-    undefined on either side.  A node only adds entries, so a comparison
-    once decided holds in every completion: a relabeling that is less
-    prunes the subtree, and one that is greater drops b for the subtree.
-    The cursors left at a complete table are those of the b whose
-    relabeling is the table itself, that is whose stabilizer is the
-    basepoint's.
+    The table starts as one coset with no entries.  first_gap(c, g) is the
+    first empty entry at or after (c, g) in row-major order, None once the
+    table is complete.  children(c, g) fills the gap (c, g) with each coset d
+    in turn, existing or new (numbered len(table)) below max_index, and
+    yields d when the relators propagate without a clash; resuming undoes it.
     """
     table: list[list[int | None]] = [[None] * _COLS]
-    results: list[_Rep] = []
 
     def set_entry(c: int, g: int, d: int, trail: list[tuple[int, int]]) -> None:
         table[c][g] = d
@@ -238,18 +235,53 @@ def _search(max_index: int) -> list[_Rep]:
                     return False
         return True
 
-    def undo(trail: list[tuple[int, int]]) -> None:
-        for c, g in trail:
-            table[c][g] = None
-
     def first_gap(c0: int, g0: int) -> tuple[int, int] | None:
-        """The first empty entry at or after (c0, g0) in row-major order."""
         for c in range(c0, len(table)):
             row = table[c]
             for g in range(g0 if c == c0 else 0, _COLS):
                 if row[g] is None:
                     return c, g
         return None
+
+    def children(c: int, g: int) -> Iterator[int]:
+        n = len(table)
+        for d in range(n + (n < max_index)):
+            if d == n:  # a new coset, defined by this entry
+                table.append([None] * _COLS)
+            elif table[d][g ^ 1] is not None:
+                continue
+            trail: list[tuple[int, int]] = []
+            set_entry(c, g, d, trail)
+            if propagate([(c, g)], trail):
+                yield d
+            for e, h in trail:
+                table[e][h] = None
+        del table[n:]
+
+    return table, first_gap, children
+
+
+def _images(table: list[list[int | None]]) -> _Images:
+    """The images of x, y, z in a complete table of the backtrack."""
+    return _Images(*(tuple(row[g] for row in table) for g in (0, 2, 4)))
+
+
+def _search(max_index: int) -> list[_Rep]:
+    """One table per conjugacy class on at most max_index cosets, each with its Fix set.
+
+    The backtrack meets standardized tables only; it keeps the one that is
+    the least relabeling of its class in row-major (coset, column) order.
+    Each coset b gets a cursor when it is created: the breadth-first
+    relabeling from b, compared with the table itself up to the first entry
+    undefined on either side.  A node only adds entries, so a comparison
+    once decided holds in every completion: a relabeling that is less
+    prunes the subtree, and one that is greater drops b for the subtree.
+    The cursors left at a complete table are those of the b whose
+    relabeling is the table itself, that is whose stabilizer is the
+    basepoint's.
+    """
+    table, first_gap, children = _backtrack(max_index)
+    results: list[_Rep] = []
 
     def resume(cursor: list) -> int:
         """Compare b's relabeling with the table from the cursor on.
@@ -285,43 +317,33 @@ def _search(max_index: int) -> list[_Rep]:
         # back), so the scan for the next gap resumes at (c, g).
         gap = first_gap(c, g)
         if gap is None:
-            images = _Images(*(tuple(row[g] for row in table) for g in (0, 2, 4)))
-            results.append((images, (0, *(cursor[0] for cursor in live))))
+            results.append((_images(table), (0, *(cursor[0] for cursor in live))))
             return
         c, g = gap
         n = len(table)
-        for d in range(n + (n < max_index)):
-            if d == n:  # a new coset, defined by this entry
-                table.append([None] * _COLS)
-            elif table[d][g ^ 1] is not None:
-                continue
-            trail: list[tuple[int, int]] = []
-            set_entry(c, g, d, trail)
-            if propagate([(c, g)], trail):
-                cursors = live + [[n, 0, 0, [n], {n: 0}]] if d == n else live
-                moved = []  # each cursor that resumes, with the state to restore
-                kept = []
-                for cursor in cursors:
-                    _, k, h, order, _ = cursor
-                    if table[order[k]][h] is None or table[k][h] is None:
-                        kept.append(cursor)  # held up by the same entry as before
-                        continue
-                    moved.append((cursor, k, h, len(order)))
-                    verdict = resume(cursor)
-                    if verdict < 0:
-                        break
-                    if verdict == 0:
-                        kept.append(cursor)
-                else:
-                    extend(c, g, kept)
-                for cursor, k, h, m in moved:
-                    cursor[1], cursor[2] = k, h
-                    order, pos = cursor[3], cursor[4]
-                    for p in order[m:]:
-                        del pos[p]
-                    del order[m:]
-            undo(trail)
-        del table[n:]
+        for d in children(c, g):
+            cursors = live + [[n, 0, 0, [n], {n: 0}]] if d == n else live
+            moved = []  # each cursor that resumes, with the state to restore
+            kept = []
+            for cursor in cursors:
+                _, k, h, order, _ = cursor
+                if table[order[k]][h] is None or table[k][h] is None:
+                    kept.append(cursor)  # held up by the same entry as before
+                    continue
+                moved.append((cursor, k, h, len(order)))
+                verdict = resume(cursor)
+                if verdict < 0:
+                    break
+                if verdict == 0:
+                    kept.append(cursor)
+            else:
+                extend(c, g, kept)
+            for cursor, k, h, m in moved:
+                cursor[1], cursor[2] = k, h
+                order, pos = cursor[3], cursor[4]
+                for p in order[m:]:
+                    del pos[p]
+                del order[m:]
 
     extend(0, 0, [])
     return results
@@ -453,10 +475,6 @@ def _relabelings(t: CosetTable, bases: Iterable[int]) -> Iterator[tuple[int, ...
         yield tuple(pos[p[c]] for p in perms[::2] for c in pos)
 
 
-def _base_form(t: CosetTable) -> tuple[int, ...]:
-    return next(_relabelings(t, (0,)))
-
-
 def canonical_table(t: CosetTable, base: int = 0) -> CosetTable:
     """Relabel cosets by breadth-first order from base, one of the cosets 0 .. degree - 1."""
     if base not in range(t.degree):
@@ -465,25 +483,24 @@ def canonical_table(t: CosetTable, base: int = 0) -> CosetTable:
     return CosetTable(form[:n], form[n:2 * n], form[2 * n:])
 
 
-def _class_keys(tables: Sequence[CosetTable], forms: Sequence[tuple]) -> list[tuple]:
-    """Class key of each table, its least relabeling, given its base-0 form."""
-    key_of: dict[tuple, tuple] = {}
-    for t, form in zip(tables, forms):
-        if form not in key_of:
-            members = list(_relabelings(t, range(t.degree)))
-            key_of.update(dict.fromkeys(members, min(members)))
-    return [key_of[form] for form in forms]
-
-
 def classes_of(tables: Iterable[CosetTable]) -> list[list[CosetTable]]:
-    """Group tables of one degree into conjugacy classes of stabilizers."""
+    """Group tables of one degree into conjugacy classes of stabilizers.
+
+    A class is keyed by its least relabeling, found from every basepoint of
+    the first table met of it; later ones are looked up by their base-0 form.
+    """
     tables = list(tables)
     degrees = {t.degree for t in tables}
     if len(degrees) > 1:
         raise ValueError(f"tables of mixed degree: {sorted(degrees)}")
+    key_of: dict[tuple, tuple] = {}
     buckets: dict[tuple, list[CosetTable]] = {}
-    for t, key in zip(tables, _class_keys(tables, [_base_form(t) for t in tables])):
-        buckets.setdefault(key, []).append(t)
+    for t in tables:
+        form = next(_relabelings(t, (0,)))
+        if form not in key_of:
+            members = list(_relabelings(t, range(t.degree)))
+            key_of.update(dict.fromkeys(members, min(members)))
+        buckets.setdefault(key_of[form], []).append(t)
     return [buckets[key] for key in sorted(buckets)]
 
 
@@ -631,11 +648,14 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     oracle_s: Counter[str] = Counter()
     oracle_c: Counter[str] = Counter()
     oracle_keys: Counter[tuple] = Counter()
+    member_of: dict[tuple, tuple[_Images, int]] = {}  # the first (table, base) of each key
     if use_oracle:
-        reps = _tables_up_to(oracle_limit).get(n, ())
-        for t, fix in reps:
-            keys = [table_key(t, b) for b in _blocks(t, fix)]  # one per class member
+        for t, fix in _tables_up_to(oracle_limit).get(n, ()):
+            bases = _blocks(t, fix)  # one per class member
+            keys = [table_key(t, b) for b in bases]
             oracle_keys.update(keys)
+            for key, b in zip(keys, bases):
+                member_of.setdefault(key, (t, b))
             iso = _key_type(keys[0])
             oracle_s[iso] += len(keys)
             oracle_c[iso] += 1
@@ -687,8 +707,7 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
         if differ and failure is None:
             k = min(differ)
             if oracle_keys[k]:
-                t = next(canonical_table(t, b) for t, fix in reps for b in _blocks(t, fix)
-                         if table_key(t, b) == k)
+                t = canonical_table(*member_of[k])
                 named = f"table x={t.x} y={t.y} z={t.z}"
             else:
                 named = repr(descriptor_of[k])

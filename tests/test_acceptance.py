@@ -125,21 +125,12 @@ def test_criterion_5_normal_subgroup_counts_up_to_64():
         piecewise = 3 if n % 4 == 2 else 6 if n % 8 == 4 else 0
         if g2n != piecewise or g6n != (1 if n == 1 else 0):
             bad.append((n, "piecewise"))
-        if n <= 32:
-            # a subgroup is normal exactly when its class has one member
-            by_type = {iso: [] for iso in ISO}
-            for t in oracle.low_index(n, search_limit=32):
-                by_type[oracle.stabilizer_type(t)].append(t)
-            singletons = tuple(sum(1 for cls in oracle.classes_of(by_type[iso]) if len(cls) == 1)
-                               for iso in ISO)
-            if singletons != closed:
-                bad.append((n, "singleton classes of the coset tables"))
     _verdict(5, not bad,
              "normal counts: closed forms equal is_normal-filtered enumerations "
-             "for n <= 64 and the singleton classes of the presentation's coset "
-             "tables for n <= 32 (z3 closed form corrected; published extra "
-             "2*d3(n/32) term fails the filter at n=32,64 and the tables at "
-             "n=32 - see ledger)"
+             "for n <= 64 (z3 closed form corrected; published extra "
+             "2*d3(n/32) term fails the filter at n=32,64 - see ledger; the "
+             "singleton classes of the coset tables are checked for n <= 32 in "
+             "test_oracle)"
              + (f"; failures {bad[:3]}" if bad else ""))
 
 

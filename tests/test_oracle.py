@@ -74,10 +74,10 @@ def table_membership(t, g):
 
 
 # --- the presentation up to index 32 ----------------------------------------
-# The backtrack to 32 is cached and shared with acceptance criteria 1 and 5
-# (criterion 1 runs the full three-way check for every n <= 32).  This test
-# comes first in the module so that the search cache, which holds a few
-# limits only, still has it.
+# The backtrack to 32 is cached and shared with acceptance criterion 1, which
+# runs the full three-way check for every n <= 32.  These tests come first in
+# the module so that the search cache, which holds a few limits only, still
+# has it.
 
 def test_normal_subgroups_are_the_singleton_classes_of_the_presentation():
     # A subgroup is normal exactly when its class has one member, so the
@@ -94,18 +94,21 @@ def test_normal_subgroups_are_the_singleton_classes_of_the_presentation():
                 assert normal == 37  # the published closed form says 39
 
 
-def test_pruned_search_keeps_one_table_per_class_of_the_unpruned_search():
-    # The unpruned backtrack finds every subgroup.  Grouped by the least
-    # row-major relabeling of its table, it gives each class's representative,
-    # size and member keys, which the pruned search must read off its one
-    # table per class and that table's Fix set.
+def check_pruned_against_unpruned(limit):
+    """The pruned search keeps one table per class of the unpruned one, for n <= limit.
+
+    The unpruned backtrack finds every subgroup.  Grouped by the least
+    row-major relabeling of its table, it gives each class's representative,
+    size and member keys, which the pruned search must read off its one
+    table per class and that table's Fix set.
+    """
     row_major = oracle._row_major
     found = {}
-    for t in unpruned_search(32):
+    for t in unpruned_search(limit):
         found.setdefault(t.degree, []).append(t)
-    searched = oracle._tables_up_to(32)
-    for n in range(1, 33):
-        assert low_index(n, search_limit=32) == tuple(found[n]), n  # the same tables, in search order
+    searched = oracle._tables_up_to(limit)
+    for n in range(1, limit + 1):
+        assert low_index(n, search_limit=limit) == tuple(found[n]), n  # the same tables, in search order
         least = {}
         sizes, keys = Counter(), Counter()
         for t in found[n]:
@@ -122,6 +125,10 @@ def test_pruned_search_keeps_one_table_per_class_of_the_unpruned_search():
             pruned_keys.update(table_key(t, b) for b in members)
         assert pruned_sizes == sizes, n
         assert pruned_keys == keys, n
+
+
+def test_pruned_search_keeps_one_table_per_class_of_the_unpruned_search():
+    check_pruned_against_unpruned(32)
 
 
 def test_table_validation_rejects_garbage():
@@ -269,12 +276,13 @@ def test_transversal_labels_match_the_linear_scan():
             assert descriptor_to_table(d) == scan_descriptor_to_table(d), d
 
 
-def test_class_keys_match_the_minimum_over_all_basepoints():
+def test_classes_of_groups_by_the_minimum_over_all_basepoints():
     for n in range(1, 17):
         tables = low_index(n, search_limit=16)
-        forms = [canonical_table(t, 0) for t in tables]
-        keys = oracle._class_keys(tables, [f.x + f.y + f.z for f in forms])
-        assert keys == [class_key(t) for t in tables], n
+        by_key = {}
+        for t in tables:
+            by_key.setdefault(class_key(t), []).append(t)
+        assert classes_of(tables) == [by_key[k] for k in sorted(by_key)], n
 
 
 def test_table_membership_agrees_with_contains():
