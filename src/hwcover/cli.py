@@ -13,7 +13,8 @@ Every command writes through one chunked writer, _emit, as its rows are
 produced.  CSV has one route: _emit formats each row by one "%s" template
 per header (a row of another length raises TypeError), or takes the text
 that ``enumerate`` formats from the blocks of ``catalog.iter_blocks`` (one
-str.join per G2 plane), and writes at least 256 lines at a time.
+str.join per G2 plane), and writes at least 256 lines at a time.  The JSON
+paths import json where they run, so a CSV command never loads it.
 Exit codes: 0 success (verify: everything matches), 1 verification
 mismatch, 2 usage or I/O error (on stdout, the --out file or stderr).  Output
 is deterministic byte-for-byte.
@@ -22,7 +23,6 @@ is deterministic byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -120,6 +120,8 @@ def _write_json_list(fh, objs, frame: tuple[str, str] | None = None, chunk: int 
     same way.  frame is the text of an enclosing JSON document before and
     after the list, which then nests one level deep.  Returns the number of objects.
     """
+    import json
+
     before, after = frame or ("", "")
     newline = "\n  " if frame else "\n"
     it, count = iter(objs), 0
@@ -239,15 +241,38 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# The representative cell of classes CSV: json.dumps(to_json_dict(d),
+# sort_keys=True), the one CSV cell that holds commas and quotes, so quoted
+# and with its inner quotes doubled.  One template per type takes the fields
+# in key order: z3 a b c d e f, g2 a axis b c k s t, g6 k l m u v w.
+_Z3_CELL = ('"{""a"": %d, ""b"": %d, ""c"": %d, ""d"": %d, ""e"": %d, ""f"": %d, '
+            '""type"": ""z3""}"')
+_G2_CELL = ('"{""a"": %d, ""axis"": ""%s"", ""b"": %d, ""c"": %d, ""k"": %d, ""s"": %d, ""t"": %d, '
+            '""type"": ""g2""}"')
+_G6_CELL = ('"{""k"": %d, ""l"": %d, ""m"": %d, '
+            '""type"": ""g6"", ""u"": %d, ""v"": %d, ""w"": %d}"')
+
+
+def _representative_cell(d: catalog.Descriptor) -> str:
+    """The classes CSV cell of a representative, from the template of its type."""
+    if isinstance(d, catalog.Z3Descriptor):
+        lat = d.lattice
+        return _Z3_CELL % (lat.a, lat.b, lat.c, lat.d, lat.e, lat.f)
+    if isinstance(d, catalog.G2Descriptor):
+        lat = d.lattice
+        return _G2_CELL % (lat.a, d.axis, lat.b, lat.c, d.k, d.s, d.t)
+    return _G6_CELL % d
+
+
 def _cmd_classes(args) -> int:
     classes = catalog.iter_classes(args.index, args.type)
     if args.format == "csv":
-        # the one CSV cell that holds commas and quotes: quoted, inner quotes doubled
-        rows = ((args.index, catalog.iso_of(rep), size,
-                 '"%s"' % json.dumps(catalog.to_json_dict(rep), sort_keys=True).replace('"', '""'))
+        rows = ((args.index, catalog.iso_of(rep), size, _representative_cell(rep))
                 for rep, size in classes)
         _emit(args.out, "csv", ["n", "type", "size", "representative"], rows)
         return 0
+    import json
+
     # class_count sorts before classes, so a first walk counts the classes
     document = json.dumps({"class_count": sum(1 for _ in classes), "classes": [],
                            "index": args.index}, indent=2, sort_keys=True)
@@ -282,6 +307,8 @@ def _cmd_series(args) -> int:
                 for n, table, formula in zip(range(1, args.max + 1), table_vals[key], formulas[key]))
         _emit(args.out, "csv", ["type", "kind", "n", "table_value", "formula_value"], rows)
     if args.format == "json":
+        import json
+
         with _output(None) as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return 0

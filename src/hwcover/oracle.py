@@ -35,12 +35,16 @@ in a lattice T and is the union of r T over a transversal R, one r per
 letter of H.  Its key is T in Hermite normal form over the half-exponents
 (a, b, c), then (letter, translation mod T) for each non-identity letter of
 H, in letter order; ``_subgroup_key`` builds it for both sides.
-``table_key`` reads it off a table: the orbit of the basepoint under x^2,
-y^2, z^2 gives each point p of it a half-exponent vector v(p), each edge of
-that orbit outside its spanning tree gives a Schreier generator of T, and a
-letter whose image of the basepoint lies in the orbit belongs to H with
-translation -v of that image.  ``descriptor_key`` reads it from
-``catalog.cosets``.  The key's number of letters is the stabilizer's type.
+``_member_keys`` reads the keys of all member basepoints of a table in one
+pass, per square orbit: the walk of an orbit under x^2, y^2, z^2 gives each
+point p of it a half-exponent vector v(p), and each edge outside its
+spanning tree a Schreier generator of T, one ``hnf3_of`` per orbit.  Every
+point of the orbit has that T, as Lambda is abelian, and a base b in it
+takes the vectors shifted by v(b): a letter whose image of b lies in the
+orbit belongs to H with translation v(b) - v of that image.  ``table_key``
+is the same reader at one base.  ``descriptor_key`` reads the key from
+``catalog.cosets``, and puts a G2 plane's T back into (a, b, c) once per
+plane.  The key's number of letters is the stabilizer's type.
 Both keys speak normal forms, so the cross-check also checks that the
 normal-form arithmetic kills every word of ``group.RELATOR_WORDS``.
 
@@ -287,22 +291,25 @@ def _search(max_index: int) -> list[_Rep]:
         """Compare b's relabeling with the table from the cursor on.
 
         A cursor is [b, row, column, order, pos]: the breadth-first order of
-        the cosets from b, so far, and each one's number in it.  Returns -1
-        if the relabeling is less, 1 if it is greater, else 0 with the cursor
-        left at the first undefined entry, or past the last row once the
-        table is complete.
+        the cosets from b, so far, and each one's number in it (pos is a list
+        of length max_index, -1 where a coset is not numbered yet).  Returns
+        -1 if the relabeling is less, 1 if it is greater, else 0 with the
+        cursor left at the first undefined entry, or past the last row once
+        the table is complete.
         """
         _, k, g, order, pos = cursor
-        while k < len(order):
+        m = len(order)
+        while k < m:
             row, own = table[order[k]], table[k]
             while g < _COLS:
                 d, e = row[g], own[g]
                 if d is None or e is None:
                     cursor[1], cursor[2] = k, g
                     return 0
-                q = pos.get(d)
-                if q is None:
-                    q = pos[d] = len(order)
+                q = pos[d]
+                if q < 0:
+                    q = pos[d] = m
+                    m += 1
                     order.append(d)
                 if q != e:
                     return -1 if q < e else 1
@@ -322,7 +329,12 @@ def _search(max_index: int) -> list[_Rep]:
         c, g = gap
         n = len(table)
         for d in children(c, g):
-            cursors = live + [[n, 0, 0, [n], {n: 0}]] if d == n else live
+            if d == n:
+                pos = [-1] * max_index
+                pos[n] = 0
+                cursors = live + [[n, 0, 0, [n], pos]]
+            else:
+                cursors = live
             moved = []  # each cursor that resumes, with the state to restore
             kept = []
             for cursor in cursors:
@@ -342,7 +354,7 @@ def _search(max_index: int) -> list[_Rep]:
                 cursor[1], cursor[2] = k, h
                 order, pos = cursor[3], cursor[4]
                 for p in order[m:]:
-                    del pos[p]
+                    pos[p] = -1
                 del order[m:]
 
     extend(0, 0, [])
@@ -413,19 +425,17 @@ def _subgroup_key(lattice: Hnf3, reps: Iterable[tuple[str, tuple[int, int, int]]
     return lattice, tuple(sorted((letter, lattice.reduce_coset(v)) for letter, v in reps))
 
 
-def table_key(t: CosetTable, base: int = 0) -> tuple:
-    """Subgroup key of the stabilizer H of base (by default the basepoint), read off the table.
+def _square_walk(t: _Images, root: int) -> tuple[dict[int, tuple[int, int, int]], Hnf3]:
+    """The square orbit of root: each point's half-exponent vector from root, and T.
 
-    The orbit of base under the squares x^2, y^2, z^2 is the set of
-    cosets H lambda; walking it from base gives each point p a half-exponent
-    vector v(p) with H lambda_v(p) = p.  An edge p -> q along the i-th square
-    puts lambda of v(p) + e_i - v(q) in T = H meet Lambda, and these
-    Schreier generators span T.  A letter l with 0 l = q in the orbit puts
-    l lambda_-v(q) in H.
+    Walking the orbit of root under x^2, y^2, z^2 gives each point p of it a
+    vector v(p) with root lambda_v(p) = p.  An edge p -> q along the i-th
+    square puts lambda of v(p) + e_i - v(q) in T = H meet Lambda, and these
+    Schreier generators span T.
     """
     x, y, z = t.x, t.y, t.z
-    vec = {base: (0, 0, 0)}
-    order = [base]
+    vec = {root: (0, 0, 0)}
+    order = [root]
     schreier = set()
     for p in order:  # order grows while it is scanned
         a, b, c = vec[p]
@@ -436,20 +446,55 @@ def table_key(t: CosetTable, base: int = 0) -> tuple:
                 order.append(q)
             elif u != w:
                 schreier.add((w[0] - u[0], w[1] - u[1], w[2] - u[2]))
-    return _subgroup_key(hnf3_of(schreier), (
-        (letter, (-v[0], -v[1], -v[2]))
-        for letter, perm in zip("xyz", (x, y, z)) if (v := vec.get(perm[base])) is not None))
+    return vec, hnf3_of(schreier)
+
+
+def _member_keys(t: _Images, bases: Iterable[int]) -> list[tuple]:
+    """Subgroup keys of the stabilizers H of the bases, read off the table, in order.
+
+    The square orbit of a base b is the set of cosets H lambda.  Every point
+    of it has the same T, as Lambda is abelian, so each orbit that holds a
+    base is walked once, from the first base met in it, and b takes the
+    walk's vectors shifted by v(b): b lambda_(v(p) - v(b)) = p.  A letter l
+    with b l = q in the orbit puts l lambda_(v(b) - v(q)) in H.
+    """
+    x, y, z = t.x, t.y, t.z
+    walks: list[tuple[dict[int, tuple[int, int, int]], Hnf3]] = []
+    keys = []
+    for base in bases:
+        walk = next((w for w in walks if base in w[0]), None)
+        if walk is None:
+            walk = _square_walk(t, base)
+            walks.append(walk)
+        vec, lattice = walk
+        a, b, c = vec[base]
+        images = ((letter, vec.get(perm[base])) for letter, perm in (("x", x), ("y", y), ("z", z)))
+        keys.append(_subgroup_key(lattice, (
+            (letter, (a - v[0], b - v[1], c - v[2])) for letter, v in images if v is not None)))
+    return keys
+
+
+def table_key(t: CosetTable, base: int = 0) -> tuple:
+    """Subgroup key of the stabilizer of base (by default the basepoint), read off the table."""
+    return _member_keys(t, (base,))[0]
+
+
+@lru_cache(maxsize=128)
+def _abc_lattice(lattice: Hnf3, pos: tuple[int, int, int]) -> Hnf3:
+    """The lattice with coordinates in the order pos, over (a, b, c) in Hermite normal form."""
+    return hnf3_of(catalog._from_pos(pos, col) for col in lattice.columns())
 
 
 def descriptor_key(d: Descriptor) -> tuple:
     """Subgroup key of the descriptor, read from catalog.cosets(d).
 
     T comes in the coordinate order pos; for G2 its columns are mapped back
-    to (a, b, c) and put into Hermite normal form again.
+    to (a, b, c) and put into Hermite normal form again, once per plane, as
+    the descriptors of one plane come one after another.
     """
     lattice, pos, reps = catalog.cosets(d)
     if pos != (0, 1, 2):
-        lattice = hnf3_of(catalog._from_pos(pos, col) for col in lattice.columns())
+        lattice = _abc_lattice(lattice, pos)
     return _subgroup_key(lattice, ((r.letter, (r.a, r.b, r.c)) for r in reps[1:]))
 
 
@@ -652,7 +697,7 @@ def cross_check(n: int, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> CrossCheckR
     if use_oracle:
         for t, fix in _tables_up_to(oracle_limit).get(n, ()):
             bases = _blocks(t, fix)  # one per class member
-            keys = [table_key(t, b) for b in bases]
+            keys = _member_keys(t, bases)
             oracle_keys.update(keys)
             for key, b in zip(keys, bases):
                 member_of.setdefault(key, (t, b))

@@ -5,7 +5,6 @@ All checks are exact integer comparisons; there are no tolerances anywhere.
 """
 
 import random
-from fractions import Fraction
 
 from hwcover import catalog, oracle
 from hwcover.group import E, LETTERS, RELATOR_WORDS, Element, eval_word

@@ -14,8 +14,9 @@ import pytest
 
 import hwcover
 from hwcover import catalog
-from hwcover.cli import _CSV_FIELDS, _descriptor_csv_row, _emit, descriptor_from_csv_row, main
-from witnesses import csv_text, descriptor_csv
+from hwcover.cli import (_CSV_FIELDS, _descriptor_csv_row, _emit, _representative_cell,
+                         descriptor_from_csv_row, main)
+from witnesses import csv_text, descriptor_csv, json_representative_cell
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +154,14 @@ def test_classes_csv(capsys):
     assert all(row["type"] == "g6" and row["size"] == "3" for row in rows)
     rep = json.loads(rows[0]["representative"])
     assert rep["type"] == "g6"
+
+
+@pytest.mark.parametrize("iso", catalog.ISO_TYPES)
+def test_representative_cells_match_the_json_route(iso):
+    # every class of the type at n <= 48 and at the benchmark's indices and 256
+    for n in [*range(1, 49), 100, 104, 116, 243, 256]:
+        for rep, _ in catalog.iter_classes(n, iso):
+            assert _representative_cell(rep) == json_representative_cell(rep), rep
 
 
 def test_classes_bytes_pinned(tmp_path, capsys):
@@ -531,6 +540,20 @@ def test_import_leaves_out_the_introspection_modules():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [("verify", "--max", "4"), ("classes", "--index", "16")],
+                         ids=["verify", "classes"])
+def test_csv_commands_do_not_import_json(argv):
+    # the JSON paths import json where they run; a CSV command leaves it
+    # unloaded unless the interpreter's own start-up loaded it
+    code = ("import os, sys; before = 'json' in sys.modules; from hwcover import cli; "
+            f"code = cli.main([*{argv!r}, '--out', os.devnull]); "
+            "print(code, before or 'json' not in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True\n"
 
 
 def test_broken_stdout_exits_2(capsys, monkeypatch):

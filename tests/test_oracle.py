@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from hwcover import arith, catalog, oracle
-from hwcover.group import GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTERS, TOKEN_ELEMENT, Element
+from hwcover.group import IDENTITY, LETTERS, TOKEN_ELEMENT, Element
 from hwcover.lattice import Hnf2, Hnf3
 from hwcover.oracle import (
     HARD_CAP,
@@ -22,7 +22,7 @@ from hwcover.oracle import (
     stabilizer_type,
     table_key,
 )
-from witnesses import unpruned_search
+from witnesses import unpruned_search, walk_table_key
 
 ISO = ("g1", "g2", "g6")
 
@@ -122,13 +122,26 @@ def check_pruned_against_unpruned(limit):
             members = oracle._blocks(t, fix)
             assert len(members) == n // len(fix) and n % len(fix) == 0, (t, fix)
             pruned_sizes[row_major(t)] += len(members)
-            pruned_keys.update(table_key(t, b) for b in members)
+            pruned_keys.update(oracle._member_keys(t, members))
         assert pruned_sizes == sizes, n
         assert pruned_keys == keys, n
 
 
 def test_pruned_search_keeps_one_table_per_class_of_the_unpruned_search():
     check_pruned_against_unpruned(32)
+
+
+def check_member_keys_against_the_walk(limit):
+    """At every basepoint of every searched table on at most limit cosets, the
+    key read once per square orbit equals the key of a walk from that basepoint."""
+    for reps in oracle._tables_up_to(limit).values():
+        for t, _ in reps:
+            bases = range(t.degree)
+            assert oracle._member_keys(t, bases) == [walk_table_key(t, b) for b in bases], t
+
+
+def test_member_keys_match_the_walk_from_each_basepoint():
+    check_member_keys_against_the_walk(24)
 
 
 def test_table_validation_rejects_garbage():

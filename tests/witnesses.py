@@ -11,21 +11,27 @@ membership by congruences on the exponents, derived per type by hand, where
 the library reads one coset structure from ``catalog.cosets``.
 ``unpruned_search`` drives the backtrack core ``oracle._backtrack`` as
 ``oracle._search`` does, and differs only by not pruning: it yields every
-subgroup, not one table per conjugacy class.  ``csv_text`` writes rows
-through ``csv.writer``, where the CLI formats each line from one template
-per header and quotes the one cell that needs it itself; ``descriptor_csv``
-writes the ``enumerate`` CSV by it over the cells of each descriptor, where
-the command formats its lines from the catalog's parameter blocks.
+subgroup, not one table per conjugacy class.  ``walk_table_key`` reads a
+subgroup key by walking the square orbit from the one basepoint it keys,
+where ``oracle`` walks each orbit once for all the basepoints in it.
+``json_representative_cell`` writes the ``classes`` CSV representative by
+``json.dumps``, where the command fills one template per type.
+``csv_text`` writes rows through ``csv.writer``, where the CLI formats each
+line from one template per header and quotes the one cell that needs it
+itself; ``descriptor_csv`` writes the ``enumerate`` CSV by it over the
+cells of each descriptor, where the command formats its lines from the
+catalog's parameter blocks.
 """
 
 import csv
 import io
+import json
 from typing import Iterable, NamedTuple, Sequence
 
 from hwcover import arith, catalog, cli, oracle
 from hwcover.arith import d3, d3_alternating, divisors, form_value
 from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, Element
-from hwcover.lattice import hnf2_all, hnf2_of, transform2, transform3
+from hwcover.lattice import hnf2_all, hnf2_of, hnf3_of, transform2, transform3
 from hwcover.oracle import CosetTable
 
 
@@ -218,3 +224,34 @@ def unpruned_search(max_index: int) -> list[CosetTable]:
 
     extend(0, 0)
     return results
+
+
+def walk_table_key(t: CosetTable, base: int) -> tuple:
+    """Subgroup key of the stabilizer of base, by a walk of its square orbit from base.
+
+    Each point p of the orbit gets v(p) with base lambda_v(p) = p, each edge
+    outside the walk's tree a Schreier generator of T, and a letter l with
+    base l = q in the orbit the translation -v(q).
+    """
+    x, y, z = t.x, t.y, t.z
+    vec = {base: (0, 0, 0)}
+    order = [base]
+    schreier = set()
+    for p in order:  # order grows while it is scanned
+        a, b, c = vec[p]
+        for q, w in ((x[x[p]], (a + 1, b, c)), (y[y[p]], (a, b + 1, c)), (z[z[p]], (a, b, c + 1))):
+            u = vec.get(q)
+            if u is None:
+                vec[q] = w
+                order.append(q)
+            elif u != w:
+                schreier.add((w[0] - u[0], w[1] - u[1], w[2] - u[2]))
+    lattice = hnf3_of(schreier)
+    return lattice, tuple(sorted(
+        (letter, lattice.reduce_coset((-v[0], -v[1], -v[2])))
+        for letter, perm in zip("xyz", (x, y, z)) if (v := vec.get(perm[base])) is not None))
+
+
+def json_representative_cell(d: catalog.Descriptor) -> str:
+    """The classes CSV cell of a representative: its sorted JSON, quoted, inner quotes doubled."""
+    return '"%s"' % json.dumps(catalog.to_json_dict(d), sort_keys=True).replace('"', '""')
