@@ -3,16 +3,23 @@
 A base, the product of zeta(s - j) over its shifts j, is multiplicative: at
 p^e it is the local factor h_e(p^j, ...), the complete homogeneous symmetric
 polynomial (Bell series; Apostol, *Introduction to Analytic Number Theory*, ch. 2).
-:func:`zeta_product` sieves it for n <= N and :func:`form_value` reads it at
-one factored n; the generic Dirichlet product :func:`convolve` is the tests'
-witness.  A closed form is a tuple of terms (c, k, base), c * base(n / 2^k),
-0 off the positive integers; :func:`form_values` evaluates FORMS and GF_TABLE.
+A closed form is a tuple of terms (c, k, base), c * base(n / 2^k), 0 off the
+positive integers: its polynomial in 2^-s acts at the prime 2 alone.
+:func:`form_value` reads a form at one factored n, the odd part once and the
+local factor at 2 per term.  :func:`form_values` is its array form for all
+n <= N, which evaluates FORMS and GF_TABLE: each base is sieved at the odd
+m <= N only, and each form folds into one weight per base on each 2-adic
+level n = 2^e m (Crandall and Pomerance, *Prime Numbers*, 3.2).
+:func:`zeta_product` is one base read through it; the generic Dirichlet
+product :func:`convolve` is the tests' witness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import lcm, prod
+from itertools import compress
+from math import isqrt, lcm, prod
 from typing import Sequence
 
 Rational = int | Fraction
@@ -119,68 +126,130 @@ def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
 
 def zeta_product(shifts: Sequence[int], N: int) -> list[int]:
-    """Coefficients 1..N of the product of zeta(s - j), j in shifts; () is delta.
+    """Coefficients 1..N of the product of zeta(s - j), j in shifts; () is delta."""
+    return form_values({"base": ((1, 0, tuple(shifts)),)}, N)["base"]
 
-    A prime-power sieve: each p^e <= N multiplies by h_e the n it divides exactly.
-    A prime p with p^2 > N divides each of its multiples once, so they take h_1,
-    the sum of the p^j, and need no marking: every composite <= N has a prime
-    factor <= sqrt(N).
+
+def _odd_primes(N: int) -> list[int]:
+    """The odd primes <= N, from a sieve over the odd numbers only."""
+    odd = bytearray([1]) * ((N + 1) // 2)  # index i stands for 2i + 1
+    for i in range(1, (isqrt(N) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return list(compress(range(3, N + 1, 2), odd[1:]))
+
+
+def _odd_sieve(shifts: tuple, N: int, primes: list[int]) -> list[int]:
+    """The base at the odd m <= N, indexed (m - 1) / 2: a prime-power sieve without p = 2.
+
+    A prime p <= sqrt(N) multiplies its odd multiples m = p (2s + 1), at index
+    p // 2 + p s, by h_1, then those of each p^e by h_e / h_(e-1), exactly
+    over the h_(e-1) already there (h is 0 past h_0 only for delta, whose
+    multiples of p are already 0).  A larger prime p divides each of its odd
+    multiples p r once, with r < p, so it is read by its cofactor r: each odd
+    r writes h_1 at the p r <= N.
     """
-    out, composite = [1] * (N + 1), bytearray(N + 1)
-    for p in range(2, N + 1):
-        if composite[p]:
-            continue
-        if p * p > N:
-            h1 = sum(p ** j for j in shifts)
-            out[p::p] = [v * h1 for v in out[p::p]]
-            continue
-        composite[p * p::p] = b"\1" * len(range(p * p, N + 1, p))
+    out = [1] * ((N + 1) // 2)
+    small = bisect_right(primes, isqrt(N))
+    for p in primes[:small]:
         E = 1
         while p ** (E + 1) <= N:
             E += 1
         h, pe = local_factors(shifts, p, E), p
-        for e in range(1, E):  # the n = p^e (r + p t) for r = 1 .. p - 1
-            for r in range(pe, pe * p, pe):
-                out[r::pe * p] = [v * h[e] for v in out[r::pe * p]]
+        out[p // 2::p] = [v * h[1] for v in out[p // 2::p]]
+        for e in range(2, E + 1):
             pe *= p
-        out[pe::pe] = [v * h[E] for v in out[pe::pe]]  # no multiple of p^(E+1) is <= N
-    return out[1:]
+            if h[e - 1]:
+                out[pe // 2::pe] = [v // h[e - 1] * h[e] for v in out[pe // 2::pe]]
+    large, top = primes[small:], max(shifts, default=0)
+    h1 = [shifts.count(top)] * len(large)  # the sum of the p^j, by Horner's rule
+    for j in range(top - 1, -1, -1):
+        c = shifts.count(j)
+        h1 = [x * p + c for x, p in zip(h1, large)]
+    for r in range(1, N // (isqrt(N) + 1) + 1, 2):
+        for p, h in zip(large[:bisect_right(large, N // r)], h1):
+            out[p * r // 2] *= h
+    return out
 
 
 def form_values(forms: dict, N: int) -> dict[object, list[int]]:
     """Each closed form at n = 1..N, keyed as in ``forms``; equal forms share one evaluation.
 
-    One zeta_product series per base serves every form, and is dropped once
-    the last distinct form that reads it is summed; each distinct form is
-    summed once, in integers over its common denominator, which must divide
-    every total.  Every key gets its own list.
+    The array form of :func:`form_value`.  Each base is sieved at the odd m
+    only; a base whose shifts are all t more than another's is m^t times it,
+    so one sieve serves both.  At n = 2^e m, m odd, a term (c, k, base) is
+    c h(2)[e - k] base(m), so a form is sum over its bases of A[e] base(m):
+    level e, the n = 2^e m, is written in one pass per base.  The A[e] are
+    integers over the form's common denominator, which must divide every
+    total; it is checked per n only at the levels where it does not divide
+    every A[e].  Each odd array is dropped once the last distinct form that
+    reads it is summed, and every key gets its own list.
     """
+    N = max(N, 0)
     first_key = {}
     for key, form in forms.items():
         first_key.setdefault(form, key)
-    last_key = {base: key for form, key in first_key.items() for _, _, base in form}
-    series, values, out = {}, {}, {}
+    last_key = {}
+    for form, key in first_key.items():
+        for _, _, base in form:
+            last_key[base] = last_key[_unshifted(base)] = key
+    primes = _odd_primes(N)
+    odd, values, out = {}, {}, {}
     for key, form in forms.items():
         if form in values:
             out[key] = values[form][:]
             continue
-        den = lcm(*(Fraction(c).denominator for c, _, _ in form))
-        acc = [0] * (N + 1)
-        for c, k, base in form:
-            if base not in series:
-                series[base] = zeta_product(base, N)
-            step, weight = 1 << k, int(c * den)
-            acc[step::step] = [a + weight * f for a, f in zip(acc[step::step], series[base])]
-        if den != 1:
-            bad = next((n for n in range(1, N + 1) if acc[n] % den), None)
-            if bad is not None:
-                raise ArithmeticError(f"closed form {key} is fractional at n={bad}")
-            acc = [v // den for v in acc]
-        out[key] = values[form] = acc[1:]
         for _, _, base in form:
-            if last_key[base] == key:
-                series.pop(base, None)
+            if base not in odd:
+                root, t = _unshifted(base), min(base, default=0)
+                if root not in odd:
+                    odd[root] = _odd_sieve(root, N, primes)
+                odd[base] = odd[root] if t == 0 else [
+                    v * m ** t for v, m in zip(odd[root], range(1, N + 1, 2))]
+        out[key] = values[form] = _fold(key, form, odd, N)
+        for _, _, base in form:
+            for read in (base, _unshifted(base)):
+                if last_key[read] == key:
+                    odd.pop(read, None)
     return out
+
+
+def _unshifted(base: tuple) -> tuple:
+    """The base's shifts less their least one, sorted: the sieve it is a power of m times."""
+    t = min(base, default=0)
+    return tuple(sorted(j - t for j in base))
+
+
+def _fold(key: object, form: tuple, odd: dict, N: int) -> list[int]:
+    """The form at n = 1..N from its bases' odd arrays, one 2-adic level at a time."""
+    den = lcm(*(Fraction(c).denominator for c, _, _ in form))
+    bases = list(dict.fromkeys(base for _, _, base in form))
+    two = {b: local_factors(b, 2, N.bit_length() - 1) for b in bases}
+    acc, bad = [0] * N, []
+    for e in range(N.bit_length()):
+        weights = [(b, sum(int(c * den) * two[b][e - k] for c, k, base in form if base == b and k <= e))
+                   for b in bases]
+        weights = [(b, a) for b, a in weights if a]
+        if not weights:
+            continue
+        exact = all(a % den == 0 for _, a in weights)
+        if exact:
+            weights = [(b, a // den) for b, a in weights]
+        size = ((N >> e) + 1) // 2
+        (b, a), *rest = weights
+        level = odd[b][:size] if a == 1 else [a * v for v in odd[b][:size]]
+        for b, a in rest:
+            level = [u + a * v for u, v in zip(level, odd[b])]
+        if not exact:
+            i = next((i for i, v in enumerate(level) if v % den), None)
+            if i is not None:
+                bad.append((2 * i + 1) << e)
+            level = [v // den for v in level]
+        acc[(1 << e) - 1::2 << e] = level
+    if bad:
+        raise ArithmeticError(f"closed form {key} is fractional at n={min(bad)}")
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -548,8 +548,8 @@ def class_count(iso: str, n: int) -> int:
 def count_arrays(N: int) -> dict[tuple[str, str], list[int]]:
     """Closed-form counts for all n <= N: the six (type, kind) rows of FORMS.
 
-    arith.form_values reads them from one sieved Euler-product series per
-    base; the test suite checks it against the one-n values of count_s / count_c.
+    arith.form_values reads them from one odd-part sieve per base, folded at
+    2; the test suite checks it against the one-n values of count_s / count_c.
     """
     return arith.form_values({key: FORMS[key] for key in _COUNT_KEYS}, N)
 

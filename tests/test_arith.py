@@ -9,10 +9,14 @@ import pytest
 
 from hwcover import catalog
 from hwcover.arith import (
+    D3,
     D3_ALTERNATING,
+    DELTA,
     GF_TABLE,
+    N_D3,
     OMEGA,
     ONE,
+    SIGMA0,
     SIGMA2,
     convolve,
     d3,
@@ -214,7 +218,7 @@ def test_zeta_product_sieve_matches_convolution_on_random_shifts():
 
 @pytest.mark.parametrize("shifts", [(), (1, 1, 1)], ids=str)
 def test_zeta_product_sieve_matches_convolution_around_prime_squares(shifts):
-    # primes p with p^2 > N take one slice of h_1 and mark no multiples;
+    # primes p with p^2 > N are read by their cofactors and raise no powers;
     # at N = p^2 - 1, p^2, p^2 + 1 the prime p sits on either side of sqrt(N)
     for p in (2, 3, 5, 7, 11, 13):
         for N in (p * p - 1, p * p, p * p + 1):
@@ -289,6 +293,61 @@ def test_form_values_rejects_fractional_rows():
     assert form_values({"one": ((Fraction(2, 2), 0, ONE),)}, 4)["one"] == [1, 1, 1, 1]
 
 
+def test_form_values_name_the_least_fractional_n_over_all_levels():
+    # (ONE(n/2) + DELTA(n/2)) / 2 is 1 at n = 2, first 1/2 at n = 6 on the level
+    # of the n = 2m, m odd, but already at n = 4 on the level of the n = 4m
+    form = ((Fraction(1, 2), 1, ONE), (Fraction(1, 2), 1, DELTA))
+    assert form_values({"half": form}, 3)["half"] == [0, 1, 0] == [form_value(form, n) for n in (1, 2, 3)]
+    for N in (4, 5, 6, 64):
+        with pytest.raises(ArithmeticError, match=r"closed form half is fractional at n=4$"):
+            form_values({"half": form}, N)
+    with pytest.raises(ArithmeticError, match="n=4"):
+        form_value(form, 4)
+    # a level is checked when any of its bases' weights is fractional, not only the first
+    with pytest.raises(ArithmeticError, match="n=1$"):
+        form_values({"mixed": ((1, 0, ONE), (Fraction(1, 2), 0, SIGMA0))}, 4)
+
+
+# Forms for the paths of the odd-part sieve and the fold at 2: bases whose
+# shifts differ by a constant share a sieve, unless the shift counts differ
+# (n times delta is delta, not zeta(s - 1)); a term whose 2^k exceeds N.
+FOLD_FORMS = {
+    "n d3 with d3": ((1, 0, N_D3), (-2, 1, D3), (1, 3, N_D3), (3, 0, D3)),
+    "(2, 3) with (0, 1)": ((1, 0, (2, 3)), (5, 2, (0, 1)), (-1, 1, (3, 2))),
+    "(1,) with delta": ((1, 0, (1,)), (1, 1, DELTA), (2, 0, DELTA)),
+    "k past log2 N": ((1, 0, SIGMA0), (7, 13, OMEGA), (1, 40, D3)),
+    "delta": ((1, 0, DELTA), (-1, 2, DELTA)),
+}
+# Every N to 130, and the N at which a 2-adic level or the square of an odd
+# prime (the sqrt(N) split of the sieve) comes in or goes out.
+FOLD_SIZES = sorted({*range(131), *(2 ** k + d for k in range(13) for d in (-1, 0, 1)),
+                     *(p * p + d for p in (3, 5, 7, 11, 13, 17, 19, 23) for d in (-1, 0, 1))})
+
+
+def test_form_values_match_the_one_n_evaluator_at_every_fold_size():
+    forms = {**catalog.FORMS, **{("table", *key): table_form(*key) for key in GF_TABLE}, **FOLD_FORMS}
+    top = max(FOLD_SIZES)
+    reference = {key: [form_value(form, n) for n in range(1, top + 1)] for key, form in forms.items()}
+    for N in FOLD_SIZES:
+        vals = form_values(forms, N)
+        for key in forms:
+            assert vals[key] == reference[key][:N], (key, N)
+    for key, form in FOLD_FORMS.items():
+        assert form_values({key: form}, top)[key] == reference[key], key
+
+
+def test_published_z3_normal_term_diverges_at_32_and_64(monkeypatch):
+    # the erratum of normal_counts: the published form's extra 2 d3(n/32)
+    published = catalog.FORMS["z3_normal"] + ((2, 5, D3),)
+    fixed = catalog.normal_arrays(64)["g1", "normal"]
+    monkeypatch.setitem(catalog.FORMS, "z3_normal", published)
+    wrong = catalog.normal_arrays(64)["g1", "normal"]
+    assert wrong == form_values({"published": published}, 64)["published"]
+    assert wrong == [form_value(published, n) for n in range(1, 65)]
+    diff = {n: (wrong[n - 1], fixed[n - 1]) for n in range(1, 65) if wrong[n - 1] != fixed[n - 1]}
+    assert diff == {32: (39, 37), 64: (67, 61)}
+
+
 # --- tabulated generating functions -------------------------------------------
 
 def test_table_form_reads_each_polynomial_coefficient_as_a_term():
@@ -301,8 +360,8 @@ def test_table_form_reads_each_polynomial_coefficient_as_a_term():
 
 @pytest.mark.parametrize("key", sorted(GF_TABLE))
 def test_gf_rows_agree_with_the_divisor_sum_evaluator(key):
-    # both evaluators are Euler products: the prime-power sieve (form_values)
-    # against the factorisation of each n (form_value); FORMS rows below
+    # both evaluators are Euler products: the odd-part sieve folded at 2
+    # (form_values) against the factorisation of each n (form_value); FORMS rows below
     N = 4096
     assert gf_coeffs(*key, N) == [form_value(table_form(*key), n) for n in range(1, N + 1)]
 
