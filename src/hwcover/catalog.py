@@ -68,6 +68,7 @@ class-size splits are witnesses in the test suite.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product, starmap
@@ -637,18 +638,28 @@ def to_json_dict(d: Descriptor) -> dict:
     return {"type": "g6", "k": d.k, "l": d.l, "m": d.m, "u": d.u, "v": d.v, "w": d.w}
 
 
-# Canonical parameter ranges enforced by from_json_dict, checked in order:
-# "pos" means >= 1, "odd" an odd value >= 1, and an earlier field f 0 <= value < f.
-_FIELD_RANGES = {
-    "z3": (("a", "pos"), ("b", "pos"), ("c", "pos"), ("d", "b"), ("e", "c"), ("f", "c")),
-    "g2": (("k", "odd"), ("a", "pos"), ("b", "pos"), ("c", "b"), ("s", "b"), ("t", "a")),
-    "g6": (("k", "odd"), ("l", "odd"), ("m", "odd"), ("u", "l"), ("v", "m"), ("w", "k")),
+# Each descriptor type by tag: record class, lattice class, and (field, rule) pairs in
+# to_json_dict's key order, the lattice's fields in its place.  A rule is "pos" (>= 1),
+# "odd" (odd and >= 1), "axis" (x, y or z) or an earlier field f (0 <= value < f).
+FIELDS = {
+    "z3": (Z3Descriptor, Hnf3,
+           (("c", "pos"), ("e", "c"), ("f", "c"), ("b", "pos"), ("d", "b"), ("a", "pos"))),
+    "g2": (G2Descriptor, Hnf2, (("axis", "axis"), ("k", "odd"), ("b", "pos"), ("c", "b"),
+                                ("a", "pos"), ("s", "b"), ("t", "a"))),
+    "g6": (G6Descriptor, None,
+           (("k", "odd"), ("l", "odd"), ("m", "odd"), ("u", "l"), ("v", "m"), ("w", "k"))),
 }
 
 
 def is_int_text(text: str) -> bool:
-    """Whether outside text spells an integer: ASCII digits after an optional leading '-'."""
-    return text.isascii() and text.removeprefix("-").isdecimal()
+    """Whether outside text spells an integer: ASCII digits after an optional leading '-'.
+
+    There are also no more digits than int() converts: sys.get_int_max_str_digits(),
+    where the interpreter has it, and 0 means no limit.
+    """
+    digits = text.removeprefix("-")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return text.isascii() and digits.isdecimal() and not 0 < limit < len(digits)
 
 
 def _int_field(obj: dict, tag: str, field: str) -> int:
@@ -665,28 +676,25 @@ def from_json_dict(obj: dict) -> Descriptor:
     if not isinstance(obj, dict):
         raise ValueError(f"a descriptor must be an object of fields, not {type(obj).__name__}")
     tag = obj.get("type")
-    if not isinstance(tag, str) or tag not in _FIELD_RANGES:
+    if not isinstance(tag, str) or tag not in FIELDS:
         raise ValueError(f"descriptor field 'type' = {tag!r} must be z3, g2 or g6")
-    known = {"type", *(field for field, _ in _FIELD_RANGES[tag])}
-    if tag == "g2":
-        known.add("axis")
+    record, lattice, fields = FIELDS[tag]
+    known = {"type", *(field for field, _ in fields)}
     for field in obj:
         if field not in known:
             raise ValueError(f"{tag} descriptor has no field {field!r}")
-    p: dict[str, int] = {}
-    for field, rule in _FIELD_RANGES[tag]:
-        val = p[field] = _int_field(obj, tag, field)
-        if rule in p:
+    p = {}
+    for field, rule in fields:
+        val = p[field] = obj.get(field) if rule == "axis" else _int_field(obj, tag, field)
+        if rule == "axis":
+            ok, need = val in AXES, "x, y or z"
+        elif rule in p:
             ok, need = 0 <= val < p[rule], f"in [0, {rule}) = [0, {p[rule]})"
         else:
             ok = val >= 1 and (rule == "pos" or val % 2 == 1)
             need = ">= 1" if rule == "pos" else "odd and >= 1"
         if not ok:
-            raise ValueError(f"{tag} descriptor field {field!r} = {val} must be {need}")
-    if tag == "z3":
-        return Z3Descriptor(Hnf3(**p))
-    if tag == "g2":
-        if obj.get("axis") not in AXES:
-            raise ValueError(f"g2 descriptor field 'axis' = {obj.get('axis')!r} must be x, y or z")
-        return G2Descriptor(obj["axis"], p["k"], Hnf2(p["b"], p["c"], p["a"]), p["s"], p["t"])
-    return G6Descriptor(**p)
+            raise ValueError(f"{tag} descriptor field {field!r} = {val!r} must be {need}")
+    if lattice is not None:
+        p["lattice"] = lattice(**{field: p.pop(field) for field in lattice._fields})
+    return record(**p)

@@ -27,6 +27,7 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain, islice
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from . import catalog, oracle
@@ -241,27 +242,25 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# The representative cell of classes CSV: json.dumps(to_json_dict(d),
-# sort_keys=True), the one CSV cell that holds commas and quotes, so quoted
-# and with its inner quotes doubled.  One template per type takes the fields
-# in key order: z3 a b c d e f, g2 a axis b c k s t, g6 k l m u v w.
-_Z3_CELL = ('"{""a"": %d, ""b"": %d, ""c"": %d, ""d"": %d, ""e"": %d, ""f"": %d, '
-            '""type"": ""z3""}"')
-_G2_CELL = ('"{""a"": %d, ""axis"": ""%s"", ""b"": %d, ""c"": %d, ""k"": %d, ""s"": %d, ""t"": %d, '
-            '""type"": ""g2""}"')
-_G6_CELL = ('"{""k"": %d, ""l"": %d, ""m"": %d, '
-            '""type"": ""g6"", ""u"": %d, ""v"": %d, ""w"": %d}"')
+# The classes CSV cell of d: json.dumps(to_json_dict(d), sort_keys=True), quoted (RFC 4180).
+def _cell(tag: str, lattice: type | None, fields) -> tuple[str, attrgetter]:
+    """The cell template of one catalog.FIELDS type, and the getter of its fields in key order."""
+    nested = lattice._fields if lattice else ()
+    keys = sorted([("type", f'""{tag}""', None), *(
+        (field, '""%s""' if rule == "axis" else "%d",
+         f"lattice.{field}" if field in nested else field) for field, rule in fields)])
+    template = '"{' + ", ".join(f'""{key}"": {value}' for key, value, _ in keys) + '}"'
+    return template, attrgetter(*(path for _, _, path in keys if path))
+
+
+_CELLS = {record: _cell(tag, lattice, fields)
+          for tag, (record, lattice, fields) in catalog.FIELDS.items()}
 
 
 def _representative_cell(d: catalog.Descriptor) -> str:
-    """The classes CSV cell of a representative, from the template of its type."""
-    if isinstance(d, catalog.Z3Descriptor):
-        lat = d.lattice
-        return _Z3_CELL % (lat.a, lat.b, lat.c, lat.d, lat.e, lat.f)
-    if isinstance(d, catalog.G2Descriptor):
-        lat = d.lattice
-        return _G2_CELL % (lat.a, d.axis, lat.b, lat.c, d.k, d.s, d.t)
-    return _G6_CELL % d
+    """The classes CSV cell of a representative, from the template of its record class."""
+    template, fields = _CELLS[type(d)]
+    return template % fields(d)
 
 
 def _cmd_classes(args) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hwcover import arith, catalog
+from hwcover import arith, catalog, cli
 from hwcover.arith import d3, omega, sigma0, sigma2
 from hwcover.catalog import (
     G2Descriptor,
@@ -452,10 +452,28 @@ def test_parity_structure():
 # --- serialization ----------------------------------------------------------------------
 
 def test_descriptor_json_round_trip():
-    rng = random.Random(23)
-    pool = [d for n in (4, 6, 9, 12, 16) for d in enumerate_index(n)]
-    for d in rng.sample(pool, 100):
-        assert from_json_dict(to_json_dict(d)) == d
+    for n in range(1, 49):
+        for d in enumerate_index(n):
+            assert from_json_dict(to_json_dict(d)) == d
+
+
+def test_to_json_dict_keys_follow_the_field_table():
+    # to_json_dict writes each type's keys by hand; catalog.FIELDS is the one
+    # table that from_json_dict and the classes cell read, so the two must agree
+    for n in range(1, 49):
+        for d in enumerate_index(n):
+            obj = to_json_dict(d)
+            record, _, fields = catalog.FIELDS[obj["type"]]
+            assert list(obj) == ["type", *(field for field, _ in fields)], d
+            assert type(d) is record, d
+    for record, lattice, fields in catalog.FIELDS.values():
+        names = [field for field, _ in fields]
+        for i, (field, rule) in enumerate(fields):
+            assert rule in ("pos", "odd", "axis") or rule in names[:i], (field, rule)
+        assert set(names) == {*(lattice._fields if lattice else ()),
+                              *(f for f in record._fields if f != "lattice")}
+    assert set(cli._CSV_FIELDS) == {"type", *(field for _, _, fields in catalog.FIELDS.values()
+                                              for field, _ in fields)}
 
 
 @pytest.mark.parametrize("obj, field", [
@@ -476,6 +494,10 @@ def test_descriptor_json_round_trip():
     # a type that is not hashable
     ({"type": []}, "'type'"),
     ({"type": {}}, "'type'"),
+    # more digits than int() converts from text by default on Python 3.11, and out
+    # of range where there is no such limit
+    ({"type": "g6", "k": 1, "l": 1, "m": 1, "u": 0, "v": 0, "w": "9" * 5000}, "'w'"),
+    ({"type": "z3", "c": 1, "e": "-" + "9" * 5000, "f": 0, "b": 1, "d": 0, "a": 1}, "'e'"),
 ])
 def test_descriptor_outside_canonical_ranges_rejected(obj, field):
     with pytest.raises(ValueError, match=field):

@@ -468,6 +468,14 @@ def test_exit_code_2_on_bad_flags(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "must be an integer" in err and "invalid _" not in err, err
+    # more digits than int() converts from text by default on Python 3.11, and above
+    # the hard cap where there is no such limit: rejected without echoing the digits
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max", "4", "--oracle-limit", "9" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--oracle-limit: must be" in err and "invalid _" not in err and "9" * 50 not in err, err
 
 
 def test_exit_code_2_on_unwritable_path(capsys):

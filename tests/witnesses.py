@@ -15,7 +15,8 @@ subgroup, not one table per conjugacy class.  ``walk_table_key`` reads a
 subgroup key by walking the square orbit from the one basepoint it keys,
 where ``oracle`` walks each orbit once for all the basepoints in it.
 ``json_representative_cell`` writes the ``classes`` CSV representative by
-``json.dumps``, where the command fills one template per type.
+``json.dumps``, where the command fills one template per record class, built
+from ``catalog.FIELDS``.
 ``csv_text`` writes rows through ``csv.writer``, where the CLI formats each
 line from one template per header and quotes the one cell that needs it
 itself; ``descriptor_csv`` writes the ``enumerate`` CSV by it over the
