@@ -68,6 +68,7 @@ class-size splits are witnesses in the test suite.
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from fractions import Fraction
 from functools import partial
@@ -662,39 +663,74 @@ def is_int_text(text: str) -> bool:
     return text.isascii() and digits.isdecimal() and not 0 < limit < len(digits)
 
 
+# Characters of an outside value that an error message shows.
+_SHOWN = 60
+
+
+class _Shown(reprlib.Repr):
+    """The repr of an outside value for an error message, in at most _SHOWN characters.
+
+    A value whose repr fits is shown as repr shows it.  An int of more digits
+    is never converted to text (a conversion that takes time quadratic in its
+    length, or raises past sys.get_int_max_str_digits()): its bit length is shown.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        # a container or nesting depth past _SHOWN cannot fit in _SHOWN characters
+        for limit in ("maxlevel", "maxtuple", "maxlist", "maxarray", "maxdict", "maxset",
+                      "maxfrozenset", "maxdeque", "maxstring", "maxlong", "maxother"):
+            setattr(self, limit, _SHOWN)
+
+    def repr(self, x) -> str:
+        text = super().repr(x)
+        return text if len(text) <= _SHOWN else text[:_SHOWN - 3] + "..."
+
+    def repr1(self, x, level: int) -> str:
+        if isinstance(x, int) and not -10 ** (_SHOWN - 1) < x < 10 ** _SHOWN:
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+        return super().repr1(x, level)
+
+
+_shown = _Shown().repr
+
+
 def _int_field(obj: dict, tag: str, field: str) -> int:
     """An integer field: a JSON int (not a bool) or is_int_text text, as in a CSV cell."""
     val = obj.get(field)
     if type(val) is int or (isinstance(val, str) and is_int_text(val)):
         return int(val)
-    raise ValueError(f"{tag} descriptor field {field!r} = {val!r} must be an integer"
+    raise ValueError(f"{tag} descriptor field {field!r} = {_shown(val)} must be an integer"
                      if field in obj else f"{tag} descriptor field {field!r} is missing")
 
 
 def from_json_dict(obj: dict) -> Descriptor:
-    """Parse a descriptor; a ValueError names a missing, non-integer, bad or unknown field."""
+    """Parse a descriptor; a ValueError names a missing, non-integer, bad or unknown field.
+
+    The message shows the value at fault in at most _SHOWN characters.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"a descriptor must be an object of fields, not {type(obj).__name__}")
     tag = obj.get("type")
     if not isinstance(tag, str) or tag not in FIELDS:
-        raise ValueError(f"descriptor field 'type' = {tag!r} must be z3, g2 or g6")
+        raise ValueError(f"descriptor field 'type' = {_shown(tag)} must be z3, g2 or g6")
     record, lattice, fields = FIELDS[tag]
     known = {"type", *(field for field, _ in fields)}
     for field in obj:
         if field not in known:
-            raise ValueError(f"{tag} descriptor has no field {field!r}")
+            raise ValueError(f"{tag} descriptor has no field {_shown(field)}")
     p = {}
     for field, rule in fields:
         val = p[field] = obj.get(field) if rule == "axis" else _int_field(obj, tag, field)
         if rule == "axis":
             ok, need = val in AXES, "x, y or z"
         elif rule in p:
-            ok, need = 0 <= val < p[rule], f"in [0, {rule}) = [0, {p[rule]})"
+            ok, need = 0 <= val < p[rule], f"in [0, {rule}) = [0, {_shown(p[rule])})"
         else:
             ok = val >= 1 and (rule == "pos" or val % 2 == 1)
             need = ">= 1" if rule == "pos" else "odd and >= 1"
         if not ok:
-            raise ValueError(f"{tag} descriptor field {field!r} = {val!r} must be {need}")
+            raise ValueError(f"{tag} descriptor field {field!r} = {_shown(val)} must be {need}")
     if lattice is not None:
         p["lattice"] = lattice(**{field: p.pop(field) for field in lattice._fields})
     return record(**p)

@@ -9,12 +9,14 @@ Subcommands::
     series     audit of the generating-function table against the counts
     verify     three-way verification report (closed form / catalog / oracle)
 
-Every command writes through one chunked writer, _emit, as its rows are
-produced.  CSV has one route: _emit formats each row by one "%s" template
-per header (a row of another length raises TypeError), or takes the text
-that ``enumerate`` formats from the blocks of ``catalog.iter_blocks`` (one
-str.join per G2 plane), and writes at least 256 lines at a time.  The JSON
-paths import json where they run, so a CSV command never loads it.
+Every command builds its output as one stream of text pieces, produced
+as they are needed, and writes it through one writer, _emit, which joins
+the pieces into writes of about 16 KiB.  The pieces come from _csv (the
+header, then each row by one "%s" template per header: a row of another
+length raises TypeError), from _json_list (256 objects per json.dumps call)
+or, for ``enumerate`` CSV, from the blocks of ``catalog.iter_blocks`` (one
+str.join per G2 plane).  The JSON paths import json where they run, so a
+CSV command never loads it.
 Exit codes: 0 success (verify: everything matches), 1 verification
 mismatch, 2 usage or I/O error (on stdout, the --out file or stderr).  Output
 is deterministic byte-for-byte.
@@ -25,9 +27,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from itertools import chain, islice
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from typing import Iterator, Sequence
 
 from . import catalog, oracle
@@ -105,35 +107,41 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict({key: val for key, val in row.items() if val != ""})
 
 
-# Items per chunk of _emit: CSV text is joined by one str.join until it holds
-# at least _CHUNK lines, JSON objects are encoded _CHUNK at a time by one
-# json.dumps call, and each chunk is written at once.  One call per item is
-# about twice as slow, and one call for the whole output holds all of its text;
-# 256 JSON objects encode as fast as 1024 and peak at a third of their memory.
+# Objects per json.dumps call of _json_list: 256 JSON objects encode as fast
+# as 1024 and peak at a third of their memory.
 _CHUNK = 256
+# Characters per write of _emit.  One TextIOWrapper.write per piece is slow
+# on a piped stdout, and joining a fixed number of pieces does not bound
+# memory: a G6 box of enumerate is n lines.
+_WRITE = 1 << 14
 
 
-def _write_json_list(fh, objs, frame: tuple[str, str] | None = None, chunk: int = _CHUNK) -> int:
-    """Write json.dumps(list(objs), indent=2, sort_keys=True) + a newline, chunk objects at a time.
+def _json_list(objs, frame: tuple[str, str] | None = None, chunk: int = _CHUNK) -> Iterator[str]:
+    """json.dumps(list(objs), indent=2, sort_keys=True) + a newline, in pieces of chunk objects.
 
     json.dumps(indent=2) puts each item of a list on its own lines after "[\n"
     and before "\n]", joined by ",\n", so the chunks' items are joined the
     same way.  frame is the text of an enclosing JSON document before and
-    after the list, which then nests one level deep.  Returns the number of objects.
+    after the list, which then nests one level deep.
     """
     import json
 
     before, after = frame or ("", "")
     newline = "\n  " if frame else "\n"
-    it, count = iter(objs), 0
+    it, first = iter(objs), True
     while items := list(islice(it, chunk)):
         # json.dumps escapes every newline inside a string, so each raw
         # newline of its text starts a line, and nesting indents them all
         text = json.dumps(items, indent=2, sort_keys=True)[2:-2].replace("\n", newline)
-        fh.write(("," if count else before + "[") + newline + text)
-        count += len(items)
-    fh.write((newline + "]" if count else before + "[]") + after + "\n")
-    return count
+        yield (before + "[" if first else ",") + newline + text
+        first = False
+    yield (before + "[]" if first else newline + "]") + after + "\n"
+
+
+def _csv(header: Sequence[str], rows) -> Iterator[str]:
+    """The CSV lines of the header, then of the rows: tuples of its length, a cell as its text."""
+    template = ",".join(["%s"] * len(header)) + "\n"
+    return chain([",".join(header) + "\n"], map(template.__mod__, rows))
 
 
 def _to_null_device(stream, process_stream) -> None:
@@ -156,66 +164,29 @@ def _report(message: str) -> None:
         raise SystemExit(2)
 
 
-@contextmanager
-def _output(path: str | None):
-    """The output handle: stdout, or the file at path, opened once.
+def _emit(path: str | None, pieces) -> None:
+    """Write the text pieces to the file at path, or to stdout when path is None.
 
-    An I/O error on it, from opening it to closing it, exits with code 2 (a
-    pipe closed early, say).
+    The pieces are joined until they hold at least _WRITE characters, and each
+    join is written at once.  An I/O error, from opening the file to closing
+    it, exits with code 2 (a pipe closed early, say).
     """
     try:
-        if path is None:
-            yield sys.stdout
-            sys.stdout.flush()
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                yield fh
+        with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+            chunk, held = [], 0
+            for piece in pieces:
+                chunk.append(piece)
+                held += len(piece)
+                if held >= _WRITE:
+                    fh.write("".join(chunk))
+                    chunk, held = [], 0
+            fh.write("".join(chunk))
+            fh.flush()
     except OSError as exc:
         if path is None:
             _to_null_device(sys.stdout, sys.__stdout__)
         _report(f"error: cannot write {'stdout' if path is None else path}: {exc}")
         raise SystemExit(2)
-
-
-def _write_lines(fh, pieces) -> int:
-    """Write text in pieces of whole lines, joined until at least _CHUNK lines; return their number.
-
-    Lines are counted, not pieces: a chunk holds fewer than _CHUNK lines plus
-    one piece, however many lines each piece (an enumerate block) has.
-    """
-    count = held = 0
-    chunk: list[str] = []
-    for piece in pieces:
-        chunk.append(piece)
-        held += piece.count("\n")
-        if held >= _CHUNK:
-            fh.write("".join(chunk))
-            count, held = count + held, 0
-            chunk.clear()
-    fh.write("".join(chunk))
-    return count + held
-
-
-def _emit(path: str | None, fmt: str, header: Sequence[str], rows=(), objs=None,
-          frame: tuple[str, str] | None = None, chunk: int = _CHUNK, lines=None) -> int:
-    """Write a command's output to path (stdout when None); return the number of items.
-
-    CSV is the header, then the given lines (CSV text in pieces of whole
-    lines), or else the rows: tuples of the header's length, each cell
-    written as its text.
-    JSON is the list of objs (by default the rows keyed by the header),
-    framed and chunked as in _write_json_list.
-    """
-    with _output(path) as fh:
-        if fmt == "csv":
-            fh.write(",".join(header) + "\n")
-            if lines is None:
-                template = ",".join(["%s"] * len(header)) + "\n"
-                lines = map(template.__mod__, rows)
-            return _write_lines(fh, lines)
-        if objs is None:
-            objs = (dict(zip(header, row)) for row in rows)
-        return _write_json_list(fh, objs, frame, chunk)
 
 # ---------------------------------------------------------------------------
 # Subcommands
@@ -227,17 +198,28 @@ def _cmd_count(args) -> int:
     rows = ((n, s1, s2, s6, s1 + s2 + s6, c1, c2, c6, c1 + c2 + c6)
             for n, s1, s2, s6, c1, c2, c6 in zip(range(1, args.max + 1), *columns))
     header = ["n", "s_g1", "s_g2", "s_g6", "s_total", "c_g1", "c_g2", "c_g6", "c_total"]
-    _emit(args.out, args.format, header, rows)
+    _emit(args.out, _csv(header, rows) if args.format == "csv"
+          else _json_list(dict(zip(header, row)) for row in rows))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     isos = (args.type,) if args.type else catalog.ISO_TYPES
+    count = 0
+
+    def counted(items, rows):
+        """The items, adding rows(item) to count for each."""
+        nonlocal count
+        for item in items:
+            count += rows(item)
+            yield item
+
     if args.format == "csv":
-        count = _emit(args.out, "csv", _CSV_FIELDS, lines=_csv_lines(args.index, isos))
+        blocks = counted(_csv_lines(args.index, isos), methodcaller("count", "\n"))
+        _emit(args.out, chain([",".join(_CSV_FIELDS) + "\n"], blocks))
     else:
         ds = chain.from_iterable(catalog.iter_iso(iso, args.index) for iso in isos)
-        count = _emit(args.out, "json", (), objs=map(catalog.to_json_dict, ds))
+        _emit(args.out, _json_list(counted(map(catalog.to_json_dict, ds), lambda _: 1)))
     _report(f"enumerate: index={args.index} type={args.type or 'all'} count={count}")
     return 0
 
@@ -268,7 +250,7 @@ def _cmd_classes(args) -> int:
     if args.format == "csv":
         rows = ((args.index, catalog.iso_of(rep), size, _representative_cell(rep))
                 for rep, size in classes)
-        _emit(args.out, "csv", ["n", "type", "size", "representative"], rows)
+        _emit(args.out, _csv(["n", "type", "size", "representative"], rows))
         return 0
     import json
 
@@ -281,8 +263,7 @@ def _cmd_classes(args) -> int:
             for rep, size in catalog.iter_classes(args.index, args.type))
     # A class has at most n members, as a subgroup lies in its normaliser, so
     # a chunk of _CHUNK // n classes holds at most _CHUNK member objects.
-    _emit(args.out, "json", (), objs=objs, frame=tuple(document.split("[]")),
-          chunk=max(1, _CHUNK // args.index))
+    _emit(args.out, _json_list(objs, tuple(document.split("[]")), max(1, _CHUNK // args.index)))
     return 0
 
 
@@ -292,7 +273,9 @@ def _cmd_normal(args) -> int:
                 for iso in catalog.ISO_TYPES]
     rows = ((n, iso, *cells) for n, cells_by_type in enumerate(zip(*per_type), 1)
             for iso, cells in zip(catalog.ISO_TYPES, cells_by_type))
-    _emit(args.out, args.format, ["n", "type", "s", "c", "normal"], rows)
+    header = ["n", "type", "s", "c", "normal"]
+    _emit(args.out, _csv(header, rows) if args.format == "csv"
+          else _json_list(dict(zip(header, row)) for row in rows))
     return 0
 
 
@@ -304,20 +287,19 @@ def _cmd_series(args) -> int:
         formulas, table_vals = tables
         rows = ((*key, n, table, formula) for key in sorted(table_vals)
                 for n, table, formula in zip(range(1, args.max + 1), table_vals[key], formulas[key]))
-        _emit(args.out, "csv", ["type", "kind", "n", "table_value", "formula_value"], rows)
+        _emit(args.out, _csv(["type", "kind", "n", "table_value", "formula_value"], rows))
     if args.format == "json":
         import json
 
-        with _output(None) as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(None, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
         return 0
     rows = ((r["type"], r["kind"], r["verdict"], r["first_divergent_n"] or "", r.get("note", ""))
             for r in report["rows"])
-    _emit(None, "csv", ["type", "kind", "verdict", "first_divergent_n", "note"], rows)
     row3 = report["row3_label"]
-    with _output(None) as fh:
-        fh.write(f"# row 3 label audit: tabulated as {row3['tabulated_label']}; "
-                 f"vs g1 s: {row3['vs_g1_s']}; vs g6 s: {row3['vs_g6_s']}\n")
+    footer = (f"# row 3 label audit: tabulated as {row3['tabulated_label']}; "
+              f"vs g1 s: {row3['vs_g1_s']}; vs g6 s: {row3['vs_g6_s']}\n")
+    header = ["type", "kind", "verdict", "first_divergent_n", "note"]
+    _emit(None, chain(_csv(header, rows), [footer]))
     return 0
 
 
@@ -326,9 +308,9 @@ def _cmd_verify(args) -> int:
     reports = [oracle.cross_check(n, oracle_limit=min(args.max, args.oracle_limit))
                for n in range(1, args.max + 1)]
     ok = all(r.all_match for r in reports)
-    _emit(args.out, args.format, oracle.CSV_HEADER.split(","),
-          (row for r in reports for row in oracle.csv_rows(r)),
-          (r.to_json_dict() for r in reports))
+    rows = (row for r in reports for row in oracle.csv_rows(r))
+    _emit(args.out, _csv(oracle.CSV_HEADER.split(","), rows) if args.format == "csv"
+          else _json_list(r.to_json_dict() for r in reports))
     if not ok:
         bad = [(f"n={row.n} type={row.iso}", row.failure)
                for r in reports for row in r.rows if not row.match]

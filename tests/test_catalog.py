@@ -498,12 +498,40 @@ def test_to_json_dict_keys_follow_the_field_table():
     # of range where there is no such limit
     ({"type": "g6", "k": 1, "l": 1, "m": 1, "u": 0, "v": 0, "w": "9" * 5000}, "'w'"),
     ({"type": "z3", "c": 1, "e": "-" + "9" * 5000, "f": 0, "b": 1, "d": 0, "a": 1}, "'e'"),
+    # over-long text, shown cut short
+    ({"type": "x" * 5000}, "'type'"),
+    ({"type": "g2", "axis": "q" * 5000, "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0}, "'axis'"),
+    ({"type": "g6", "k": 3, "l": 1, "m": 1, "u": 0, "v": 0, "w": 0, "q" * 5000: 5}, "no field 'qqq"),
+    ({"type": "g6", "k": 3, "l": 1, "m": 1, "u": 0, "v": 0, "w": "x" * 5000}, "'w'"),
 ])
 def test_descriptor_outside_canonical_ranges_rejected(obj, field):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=field) as exc:
         from_json_dict(obj)
-    with pytest.raises(ValueError, match=field):
+    assert len(str(exc.value)) < 200, str(exc.value)
+    with pytest.raises(ValueError, match=field) as exc:
         descriptor_from_csv_row({key: str(val) for key, val in obj.items()})
+    assert len(str(exc.value)) < 200, str(exc.value)
+
+
+@pytest.mark.parametrize("obj, message", [
+    # ints of more digits than int() converts to text by default on Python 3.11:
+    # a value out of range, and a valid bound in the message of another field
+    ({"type": "z3", "c": 1, "e": 10**5000, "f": 0, "b": 1, "d": 0, "a": 1},
+     "field 'e' = <int of 16610 bits> must be in [0, c) = [0, 1)"),
+    ({"type": "z3", "c": 10**5000, "e": -1, "f": 0, "b": 1, "d": 0, "a": 1},
+     "field 'e' = -1 must be in [0, c) = [0, <int of 16610 bits>)"),
+    ({"type": "g6", "k": 1, "l": 1, "m": 1, "u": 0, "v": 0, "w": [-10**5000]},
+     "field 'w' = [<negative int of 16610 bits>] must be an integer"),
+    # values whose repr fits in 60 characters are shown whole
+    ({"type": "z3", "c": 1, "e": 10**59, "f": 0, "b": 1, "d": 0, "a": 1},
+     f"field 'e' = {10**59} must be in [0, c) = [0, 1)"),
+    ({"type": "g6", "k": 1, "l": 1, "m": 1, "u": 0, "v": 0, "w": [0] * 7},
+     "field 'w' = [0, 0, 0, 0, 0, 0, 0] must be an integer"),
+])
+def test_descriptor_error_shows_a_long_int_by_its_bit_length(obj, message):
+    with pytest.raises(ValueError) as exc:
+        from_json_dict(obj)
+    assert str(exc.value).endswith(message) and len(str(exc.value)) < 200, str(exc.value)
 
 
 @pytest.mark.parametrize("obj, name", [([], "list"), ("z3", "str"), (None, "NoneType")])

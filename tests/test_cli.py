@@ -14,7 +14,7 @@ import pytest
 
 import hwcover
 from hwcover import catalog
-from hwcover.cli import (_CSV_FIELDS, _descriptor_csv_row, _emit, _representative_cell,
+from hwcover.cli import (_CSV_FIELDS, _csv, _descriptor_csv_row, _emit, _representative_cell,
                          descriptor_from_csv_row, main)
 from witnesses import csv_text, descriptor_csv, json_representative_cell
 
@@ -132,7 +132,7 @@ def test_csv_is_what_csv_writer_writes(argv, tmp_path, capsys):
 @pytest.mark.parametrize("row", [(1, 2), (1, 2, 3, 4)], ids=["short", "long"])
 def test_emit_rejects_a_row_of_another_length(row, capsys):
     with pytest.raises(TypeError):
-        _emit(None, "csv", ["a", "b", "c"], [(1, 2, 3), row])
+        _emit(None, _csv(["a", "b", "c"], [(1, 2, 3), row]))
 
 
 def test_enumerate_empty(capsys):
@@ -372,6 +372,37 @@ def test_classes_streams_in_bounded_memory(capsys, monkeypatch):
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+class _WriteSink:
+    """Text stream that keeps the number of its writes, the size of the largest and the lines."""
+
+    def __init__(self):
+        self.writes = self.largest = self.lines = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.largest = max(self.largest, len(text))
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["normal", "--max", "20000"],  # 60,001 lines of one row each
+    ["enumerate", "--index", "945"],  # G6 boxes of 945 lines each
+    ["count", "--max", "20000", "--format", "json"],  # 256 objects per piece
+], ids=["normal", "enumerate-g6-boxes", "count-json"])
+def test_writes_join_many_lines_and_stay_bounded(argv, capsys, monkeypatch):
+    # One write per row is slow on a piped stdout, and a join of a fixed number
+    # of pieces grows with the pieces (a G6 box of enumerate is n lines)
+    sink = _WriteSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 0
+    assert sink.writes < sink.lines / 100, (sink.writes, sink.lines)
+    assert sink.largest <= 64 * 1024, sink.largest
+
+
 def test_verify_ok(capsys):
     code, out, err = run_cli(capsys, "verify", "--max", "8", "--oracle-limit", "8")
     assert code == 0
@@ -498,6 +529,14 @@ def test_exit_code_2_on_unwritable_path(capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert err.startswith("error: cannot write /nonexistent-dir/x.csv: ")
+        assert out == ""
+    # an empty path is a path, not stdout
+    for argv in (["count", "--max", "2"], ["series", "--max", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", ""])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: cannot write : ")
         assert out == ""
 
 
