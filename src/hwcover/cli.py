@@ -103,7 +103,7 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
         raise ValueError(f"CSV row has {len(row[None])} cells more than the header")
     missing = next((key for key, val in row.items() if val is None), None)
     if missing is not None:
-        raise ValueError(f"CSV row has no cell for column {missing!r}")
+        raise ValueError(f"CSV row has no cell for column {catalog._shown(missing)}")
     return catalog.from_json_dict({key: val for key, val in row.items() if val != ""})
 
 
@@ -283,11 +283,12 @@ def _cmd_series(args) -> int:
     tables = catalog.series_tables(args.max)
     report = catalog.series_report(args.max, tables)
     if args.out is not None:
-        # full coefficient tables alongside the verdicts
+        # full coefficient tables alongside the verdicts, one template per key
         formulas, table_vals = tables
-        rows = ((*key, n, table, formula) for key in sorted(table_vals)
-                for n, table, formula in zip(range(1, args.max + 1), table_vals[key], formulas[key]))
-        _emit(args.out, _csv(["type", "kind", "n", "table_value", "formula_value"], rows))
+        lines = (map(f"{iso},{kind},%s,%s,%s\n".__mod__,
+                     zip(range(1, args.max + 1), table_vals[iso, kind], formulas[iso, kind]))
+                 for iso, kind in sorted(table_vals))
+        _emit(args.out, chain(["type,kind,n,table_value,formula_value\n"], *lines))
     if args.format == "json":
         import json
 

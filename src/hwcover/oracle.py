@@ -11,10 +11,12 @@ classical low-index backtrack: fill coset-table entries in scan order,
 propagate relator consequences after every definition, and introduce new
 cosets in first-appearance order so that each subgroup is met exactly once.
 Its column order x, x^-1, y, y^-1, z, z^-1 is also the relabeling's, so
-every table it meets is standardized (Sims): its own base-0 form.  One core,
-``_backtrack``, holds the partial table, the propagation and the branch
-step; the class-pruned ``_search`` below and the test suite's unpruned
-witness both drive it.
+every table it meets is standardized (Sims): its own base-0 form.  One
+walk, ``_backtrack``, holds the partial table, the propagation, the scan
+for the next gap, the branch and the undo; each caller passes it one step,
+run at every child, that carries the caller's state down or prunes the
+child.  The class-pruned ``_search`` below and the test suite's unpruned
+witness differ only by their steps.
 
 Conjugacy classes are found during the search, not relabeled afterwards.
 Two stabilizers are conjugate exactly when their tables agree after
@@ -67,7 +69,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import catalog
 from .group import IDENTITY, RELATOR_WORDS, TOKEN_ELEMENT, Element, eval_word, parse_word
@@ -183,14 +185,20 @@ def _reach(start: int, perms: Sequence[Sequence[int]]) -> dict[int, int]:
 _Rep = tuple[_Images, tuple[int, ...]]
 
 
-def _backtrack(max_index: int):
-    """The backtrack's partial table and its steps: (table, first_gap, children).
+def _backtrack(max_index: int, step: Callable[..., Iterator[Any]],
+               root: Any = None) -> Iterator[tuple[_Images, Any]]:
+    """Walk the backtrack depth first; yield each complete table with its state, in order.
 
-    The table starts as one coset with no entries.  first_gap(c, g) is the
-    first empty entry at or after (c, g) in row-major order, None once the
-    table is complete.  children(c, g) fills the gap (c, g) with each coset d
-    in turn, existing or new (numbered len(table)) below max_index, and
-    yields d when the relators propagate without a clash; resuming undoes it.
+    The walk keeps one partial table, at the root one coset with no entries
+    and the state root.  At each node it fills the first empty entry (c, g)
+    in row-major order with each coset d in turn: each existing one whose
+    column g^-1 is free, then a new coset numbered len(table) while that is
+    below max_index.  When the relators propagate from the entry without a
+    clash, step(table, d, n, state) runs on the node's state, n the number
+    of cosets before the entry: a generator that yields the child's state,
+    or nothing to prune the child, and undoes its own changes when resumed.
+    The walk then undoes the entry and its consequences.  A state yielded
+    with a table is read before the walk goes on: a resumed step may change it.
     """
     table: list[list[int | None]] = [[None] * _COLS]
 
@@ -239,16 +247,17 @@ def _backtrack(max_index: int):
                     return False
         return True
 
-    def first_gap(c0: int, g0: int) -> tuple[int, int] | None:
-        for c in range(c0, len(table)):
-            row = table[c]
-            for g in range(g0 if c == c0 else 0, _COLS):
-                if row[g] is None:
-                    return c, g
-        return None
-
-    def children(c: int, g: int) -> Iterator[int]:
+    def walk(c: int, g: int, state: Any) -> Iterator[tuple[_Images, Any]]:
+        # Every entry before the parent's gap (c, g) was filled in the parent,
+        # and a child only fills entries, so the scan for the next gap resumes there.
         n = len(table)
+        while table[c][g] is not None:
+            g += 1
+            if g == _COLS:
+                c, g = c + 1, 0
+                if c == n:
+                    yield _images(table), state
+                    return
         for d in range(n + (n < max_index)):
             if d == n:  # a new coset, defined by this entry
                 table.append([None] * _COLS)
@@ -257,12 +266,13 @@ def _backtrack(max_index: int):
             trail: list[tuple[int, int]] = []
             set_entry(c, g, d, trail)
             if propagate([(c, g)], trail):
-                yield d
+                for child in step(table, d, n, state):
+                    yield from walk(c, g, child)
             for e, h in trail:
                 table[e][h] = None
         del table[n:]
 
-    return table, first_gap, children
+    return walk(0, 0, root)
 
 
 def _images(table: list[list[int | None]]) -> _Images:
@@ -273,21 +283,19 @@ def _images(table: list[list[int | None]]) -> _Images:
 def _search(max_index: int) -> list[_Rep]:
     """One table per conjugacy class on at most max_index cosets, each with its Fix set.
 
-    The backtrack meets standardized tables only; it keeps the one that is
-    the least relabeling of its class in row-major (coset, column) order.
-    Each coset b gets a cursor when it is created: the breadth-first
-    relabeling from b, compared with the table itself up to the first entry
-    undefined on either side.  A node only adds entries, so a comparison
-    once decided holds in every completion: a relabeling that is less
-    prunes the subtree, and one that is greater drops b for the subtree.
-    The cursors left at a complete table are those of the b whose
-    relabeling is the table itself, that is whose stabilizer is the
-    basepoint's.
+    The backtrack meets standardized tables only; the step here keeps the
+    one that is the least relabeling of its class in row-major (coset,
+    column) order, and its state is the list of live cursors.  Each coset b
+    gets a cursor when it is created: the breadth-first relabeling from b,
+    compared with the table itself up to the first entry undefined on either
+    side.  A node only adds entries, so a comparison once decided holds in
+    every completion: a relabeling that is less prunes the subtree, and one
+    that is greater drops b for the subtree.  The cursors left at a complete
+    table are those of the b whose relabeling is the table itself, that is
+    whose stabilizer is the basepoint's.
     """
-    table, first_gap, children = _backtrack(max_index)
-    results: list[_Rep] = []
 
-    def resume(cursor: list) -> int:
+    def resume(table: list[list[int | None]], cursor: list) -> int:
         """Compare b's relabeling with the table from the cursor on.
 
         A cursor is [b, row, column, order, pos]: the breadth-first order of
@@ -318,47 +326,38 @@ def _search(max_index: int) -> list[_Rep]:
         cursor[1], cursor[2] = k, g
         return 0
 
-    def extend(c: int, g: int, live: list[list]) -> None:
-        # Every entry before the parent's gap (c, g) was filled in the parent,
-        # and a branch only fills entries (undo restores them on the way
-        # back), so the scan for the next gap resumes at (c, g).
-        gap = first_gap(c, g)
-        if gap is None:
-            results.append((_images(table), (0, *(cursor[0] for cursor in live))))
-            return
-        c, g = gap
-        n = len(table)
-        for d in children(c, g):
-            if d == n:
-                pos = [-1] * max_index
-                pos[n] = 0
-                cursors = live + [[n, 0, 0, [n], pos]]
-            else:
-                cursors = live
-            moved = []  # each cursor that resumes, with the state to restore
-            kept = []
-            for cursor in cursors:
-                _, k, h, order, _ = cursor
-                if table[order[k]][h] is None or table[k][h] is None:
-                    kept.append(cursor)  # held up by the same entry as before
-                    continue
-                moved.append((cursor, k, h, len(order)))
-                verdict = resume(cursor)
-                if verdict < 0:
-                    break
-                if verdict == 0:
-                    kept.append(cursor)
-            else:
-                extend(c, g, kept)
-            for cursor, k, h, m in moved:
-                cursor[1], cursor[2] = k, h
-                order, pos = cursor[3], cursor[4]
-                for p in order[m:]:
-                    pos[p] = -1
-                del order[m:]
+    def step(table: list[list[int | None]], d: int, n: int,
+             live: list[list]) -> Iterator[list[list]]:
+        if d == n:
+            pos = [-1] * max_index
+            pos[n] = 0
+            cursors = live + [[n, 0, 0, [n], pos]]
+        else:
+            cursors = live
+        moved = []  # each cursor that resumes, with the state to restore
+        kept = []
+        for cursor in cursors:
+            _, k, h, order, _ = cursor
+            if table[order[k]][h] is None or table[k][h] is None:
+                kept.append(cursor)  # held up by the same entry as before
+                continue
+            moved.append((cursor, k, h, len(order)))
+            verdict = resume(table, cursor)
+            if verdict < 0:
+                break
+            if verdict == 0:
+                kept.append(cursor)
+        else:
+            yield kept
+        for cursor, k, h, m in moved:
+            cursor[1], cursor[2] = k, h
+            order, pos = cursor[3], cursor[4]
+            for p in order[m:]:
+                pos[p] = -1
+            del order[m:]
 
-    extend(0, 0, [])
-    return results
+    return [(images, (0, *(cursor[0] for cursor in live)))
+            for images, live in _backtrack(max_index, step, [])]
 
 
 @lru_cache(maxsize=8)

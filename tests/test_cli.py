@@ -66,9 +66,14 @@ def test_enumerate_csv_round_trip(capsys):
 @pytest.mark.parametrize("line, message", [
     ("z3,,,,,,,,1,0,1", "no cell for column 'e'"),
     ("z3,,,,,,,,1,0,1,0,0,0,,,7,8", "2 cells more than the header"),
+    # one more header column of 5,000 characters, then a row without its cell:
+    # the name is shown through the same 60-character cap as a descriptor field
+    pytest.param("," + "c" * 5000 + "\nz3,,,,,,,,1,0,1,0,0,0,,",
+                 "no cell for column 'c{27}[.]{3}c{28}'$", id="5000-character column"),
 ])
 def test_csv_row_of_the_wrong_length_rejected(line, message):
-    row, = csv.DictReader(io.StringIO(",".join(_CSV_FIELDS) + "\n" + line + "\n"))
+    columns, _, line = line.rpartition("\n")  # what comes before a newline extends the header
+    row, = csv.DictReader(io.StringIO(",".join(_CSV_FIELDS) + columns + "\n" + line + "\n"))
     with pytest.raises(ValueError, match=message):
         descriptor_from_csv_row(row)
 

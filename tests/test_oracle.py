@@ -144,6 +144,24 @@ def test_member_keys_match_the_walk_from_each_basepoint():
     check_member_keys_against_the_walk(24)
 
 
+def test_a_step_that_prunes_new_cosets_from_6_on_leaves_the_search_to_6():
+    """A step prunes a child by yielding nothing, and the walk undoes each
+    child's entries: a search to 12 whose step prunes every new coset numbered
+    6 or more is the search to 6, with the same states, in the same order."""
+    def path(table, d, n, state):
+        yield state + (d,)
+
+    def path_below_6(table, d, n, state):
+        if d < 6:
+            yield state + (d,)
+
+    found = list(oracle._backtrack(12, path_below_6, ()))
+    assert found == list(oracle._backtrack(6, path, ()))
+    assert [CosetTable(*images) for images, _ in found] == unpruned_search(6)
+    degrees = Counter(images.degree for images, _ in found)
+    assert degrees == {n: sum(catalog.count_s(iso, n) for iso in ISO) for n in range(1, 7)}
+
+
 def test_table_validation_rejects_garbage():
     with pytest.raises(ValueError):
         CosetTable((1, 0), (0, 1), (0, 0))  # z not a permutation... actually (0,0)

@@ -9,11 +9,12 @@ routes.  Each returns what it counted and checks nothing itself; the
 divisor sums, not by their Euler products.  ``congruence_contains`` tests
 membership by congruences on the exponents, derived per type by hand, where
 the library reads one coset structure from ``catalog.cosets``.
-``unpruned_search`` drives the backtrack core ``oracle._backtrack`` as
-``oracle._search`` does, and differs only by not pruning: it yields every
-subgroup, not one table per conjugacy class.  ``walk_table_key`` reads a
-subgroup key by walking the square orbit from the one basepoint it keys,
-where ``oracle`` walks each orbit once for all the basepoints in it.
+``unpruned_search`` runs the walk ``oracle._backtrack`` with a step that
+keeps every child, where ``oracle._search`` passes a step that prunes: it
+returns every subgroup, not one table per conjugacy class.
+``walk_table_key`` reads a subgroup key by walking the square orbit from the
+one basepoint it keys, where ``oracle`` walks each orbit once for all the
+basepoints in it.
 ``json_representative_cell`` writes the ``classes`` CSV representative by
 ``json.dumps``, where the command fills one template per record class, built
 from ``catalog.FIELDS``.
@@ -27,7 +28,7 @@ catalog's parameter blocks.
 import csv
 import io
 import json
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hwcover import arith, catalog, cli, oracle
 from hwcover.arith import d3, d3_alternating, divisors, form_value
@@ -210,21 +211,14 @@ NESTED_DIVISOR_SUMS = {
 }
 
 
+def _keep(table: list, d: int, n: int, state: None) -> Iterator[None]:
+    """The backtrack step that prunes nothing."""
+    yield state
+
+
 def unpruned_search(max_index: int) -> list[CosetTable]:
     """All complete tables on at most max_index cosets, each subgroup once, in search order."""
-    table, first_gap, children = oracle._backtrack(max_index)
-    results: list[CosetTable] = []
-
-    def extend(c: int, g: int) -> None:
-        gap = first_gap(c, g)
-        if gap is None:
-            results.append(CosetTable(*oracle._images(table)))
-            return
-        for _ in children(*gap):
-            extend(*gap)
-
-    extend(0, 0)
-    return results
+    return [CosetTable(*images) for images, _ in oracle._backtrack(max_index, _keep)]
 
 
 def walk_table_key(t: CosetTable, base: int) -> tuple:
