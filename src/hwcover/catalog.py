@@ -627,20 +627,8 @@ def series_report(N: int, tables: tuple[dict, dict] | None = None) -> dict:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def to_json_dict(d: Descriptor) -> dict:
-    if isinstance(d, Z3Descriptor):
-        lat = d.lattice
-        return {"type": "z3", "c": lat.c, "e": lat.e, "f": lat.f,
-                "b": lat.b, "d": lat.d, "a": lat.a}
-    if isinstance(d, G2Descriptor):
-        lat = d.lattice
-        return {"type": "g2", "axis": d.axis, "k": d.k,
-                "b": lat.b, "c": lat.c, "a": lat.a, "s": d.s, "t": d.t}
-    return {"type": "g6", "k": d.k, "l": d.l, "m": d.m, "u": d.u, "v": d.v, "w": d.w}
-
-
 # Each descriptor type by tag: record class, lattice class, and (field, rule) pairs in
-# to_json_dict's key order, the lattice's fields in its place.  A rule is "pos" (>= 1),
+# key order, the lattice's fields in its place.  A rule is "pos" (>= 1),
 # "odd" (odd and >= 1), "axis" (x, y or z) or an earlier field f (0 <= value < f).
 FIELDS = {
     "z3": (Z3Descriptor, Hnf3,
@@ -650,6 +638,15 @@ FIELDS = {
     "g6": (G6Descriptor, None,
            (("k", "odd"), ("l", "odd"), ("m", "odd"), ("u", "l"), ("v", "m"), ("w", "k"))),
 }
+TAG_OF = {record: tag for tag, (record, _, _) in FIELDS.items()}
+
+
+def to_json_dict(d: Descriptor) -> dict:
+    """The fields of d by name after its type tag, in FIELDS' key order."""
+    tag = TAG_OF[type(d)]
+    _, lattice, fields = FIELDS[tag]
+    values = d._asdict() | (d.lattice._asdict() if lattice else {})
+    return {"type": tag, **{field: values[field] for field, _ in fields}}
 
 
 def is_int_text(text: str) -> bool:

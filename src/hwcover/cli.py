@@ -9,14 +9,14 @@ Subcommands::
     series     audit of the generating-function table against the counts
     verify     three-way verification report (closed form / catalog / oracle)
 
-Every command builds its output as one stream of text pieces, produced
-as they are needed, and writes it through one writer, _emit, which joins
-the pieces into writes of about 16 KiB.  The pieces come from _csv (the
-header, then each row by one "%s" template per header: a row of another
-length raises TypeError), from _json_list (256 objects per json.dumps call)
-or, for ``enumerate`` CSV, from the blocks of ``catalog.iter_blocks`` (one
-str.join per G2 plane).  The JSON paths import json where they run, so a
-CSV command never loads it.
+Every command builds its output as one stream of text pieces, produced as they are
+needed, and writes it through one writer, _emit, which joins the pieces into writes of
+about 16 KiB.  The pieces come from _csv (the header, then each row by one "%s"
+template per header: a row of another length raises TypeError), from _json_list (256
+objects per json.dumps call), from _json_items (a JSON list of formatted items) or, for
+``enumerate`` CSV, from the blocks of ``catalog.iter_blocks`` (one str.join per G2
+plane).  A descriptor's text, CSV cell or JSON item, fills one template per record
+class and indent, read from ``catalog.FIELDS``; json is imported where it runs.
 Exit codes: 0 success (verify: everything matches), 1 verification
 mismatch, 2 usage or I/O error (on stdout, the --out file or stderr).  Output
 is deterministic byte-for-byte.
@@ -28,7 +28,8 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
+from functools import cache
+from itertools import chain, islice, repeat, starmap
 from operator import attrgetter, methodcaller
 from typing import Iterator, Sequence
 
@@ -107,35 +108,56 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
     return catalog.from_json_dict({key: val for key, val in row.items() if val != ""})
 
 
-# Objects per json.dumps call of _json_list: 256 JSON objects encode as fast
-# as 1024 and peak at a third of their memory.
-_CHUNK = 256
 # Characters per write of _emit.  One TextIOWrapper.write per piece is slow
 # on a piped stdout, and joining a fixed number of pieces does not bound
 # memory: a G6 box of enumerate is n lines.
 _WRITE = 1 << 14
 
 
-def _json_list(objs, frame: tuple[str, str] | None = None, chunk: int = _CHUNK) -> Iterator[str]:
-    """json.dumps(list(objs), indent=2, sort_keys=True) + a newline, in pieces of chunk objects.
-
-    json.dumps(indent=2) puts each item of a list on its own lines after "[\n"
-    and before "\n]", joined by ",\n", so the chunks' items are joined the
-    same way.  frame is the text of an enclosing JSON document before and
-    after the list, which then nests one level deep.
-    """
+def _json_list(objs) -> Iterator[str]:
+    """json.dumps(list(objs), indent=2, sort_keys=True) + a newline, in pieces of 256 objects."""
     import json
 
-    before, after = frame or ("", "")
-    newline = "\n  " if frame else "\n"
-    it, first = iter(objs), True
-    while items := list(islice(it, chunk)):
-        # json.dumps escapes every newline inside a string, so each raw
-        # newline of its text starts a line, and nesting indents them all
-        text = json.dumps(items, indent=2, sort_keys=True)[2:-2].replace("\n", newline)
-        yield (before + "[" if first else ",") + newline + text
-        first = False
-    yield (before + "[]" if first else newline + "]") + after + "\n"
+    it = iter(objs)
+    # 256 objects per json.dumps call encode as fast as 1024 and peak at a third of their memory
+    chunks = (json.dumps(items, indent=2, sort_keys=True)[4:-2]  # less "[\n  " and "\n]"
+              for items in iter(lambda: list(islice(it, 256)), []))
+    return chain(_json_items(chunks, 0), ["\n"])
+
+
+def _json_items(texts, indent: int) -> Iterator[str]:
+    """The list of item texts, as json.dumps(indent=2) writes it nested indent spaces deep."""
+    pad, sep = "\n" + " " * indent, "["
+    for text in texts:
+        yield sep + pad + "  " + text
+        sep = ","
+    yield "[]" if sep == "[" else pad + "]"
+
+
+@cache
+def _template(record: type, indent: int | None) -> tuple[str, attrgetter]:
+    """The template of a record class's text at the indent, and the getter of its fields.
+
+    One % fills it with json.dumps(to_json_dict(d), sort_keys=True, indent=2) nested indent
+    spaces deep, or for indent None with the one-line form quoted as a CSV cell (RFC 4180).
+    """
+    tag = catalog.TAG_OF[record]
+    _, lattice, fields = catalog.FIELDS[tag]
+    nested = lattice._fields if lattice else ()
+    keys = sorted([("type", f'"{tag}"', None), *(
+        (field, '"%s"' if rule == "axis" else "%d",
+         f"lattice.{field}" if field in nested else field) for field, rule in fields)])
+    items = [f'"{key}": {value}' for key, value, _ in keys]
+    pad = "\n  " + " " * (indent or 0)  # before each item
+    template = ('"{%s}"' % ", ".join(items).replace('"', '""') if indent is None
+                else "{" + pad + ("," + pad).join(items) + pad[:-2] + "}")
+    return template, attrgetter(*(path for _, _, path in keys if path))
+
+
+def _text(d: catalog.Descriptor, indent: int | None = None) -> str:
+    """The text of d from the template of its record class at the indent."""
+    template, fields = _template(type(d), indent)
+    return template % fields(d)
 
 
 def _csv(header: Sequence[str], rows) -> Iterator[str]:
@@ -219,51 +241,30 @@ def _cmd_enumerate(args) -> int:
         _emit(args.out, chain([",".join(_CSV_FIELDS) + "\n"], blocks))
     else:
         ds = chain.from_iterable(catalog.iter_iso(iso, args.index) for iso in isos)
-        _emit(args.out, _json_list(counted(map(catalog.to_json_dict, ds), lambda _: 1)))
+        items = counted(map(_text, ds, repeat(2)), lambda _: 1)
+        _emit(args.out, chain(_json_items(items, 0), ["\n"]))
     _report(f"enumerate: index={args.index} type={args.type or 'all'} count={count}")
     return 0
-
-
-# The classes CSV cell of d: json.dumps(to_json_dict(d), sort_keys=True), quoted (RFC 4180).
-def _cell(tag: str, lattice: type | None, fields) -> tuple[str, attrgetter]:
-    """The cell template of one catalog.FIELDS type, and the getter of its fields in key order."""
-    nested = lattice._fields if lattice else ()
-    keys = sorted([("type", f'""{tag}""', None), *(
-        (field, '""%s""' if rule == "axis" else "%d",
-         f"lattice.{field}" if field in nested else field) for field, rule in fields)])
-    template = '"{' + ", ".join(f'""{key}"": {value}' for key, value, _ in keys) + '}"'
-    return template, attrgetter(*(path for _, _, path in keys if path))
-
-
-_CELLS = {record: _cell(tag, lattice, fields)
-          for tag, (record, lattice, fields) in catalog.FIELDS.items()}
-
-
-def _representative_cell(d: catalog.Descriptor) -> str:
-    """The classes CSV cell of a representative, from the template of its record class."""
-    template, fields = _CELLS[type(d)]
-    return template % fields(d)
 
 
 def _cmd_classes(args) -> int:
     classes = catalog.iter_classes(args.index, args.type)
     if args.format == "csv":
-        rows = ((args.index, catalog.iso_of(rep), size, _representative_cell(rep))
-                for rep, size in classes)
+        rows = ((args.index, catalog.iso_of(rep), size, _text(rep)) for rep, size in classes)
         _emit(args.out, _csv(["n", "type", "size", "representative"], rows))
         return 0
-    import json
+
+    def class_text(rep, size):
+        """One item of the list of classes: at most n members, as H lies in its normaliser."""
+        members = map(_text, catalog.conjugacy_classes([rep])[0], repeat(8))
+        return (f'{{\n      "members": {"".join(_json_items(members, 6))},\n'
+                f'      "representative": {_text(rep, 6)},\n'
+                f'      "size": {size},\n      "type": "{catalog.iso_of(rep)}"\n    }}')
 
     # class_count sorts before classes, so a first walk counts the classes
-    document = json.dumps({"class_count": sum(1 for _ in classes), "classes": [],
-                           "index": args.index}, indent=2, sort_keys=True)
-    objs = ({"type": catalog.iso_of(rep), "size": size,
-             "representative": catalog.to_json_dict(rep),
-             "members": [catalog.to_json_dict(d) for d in catalog.conjugacy_classes([rep])[0]]}
-            for rep, size in catalog.iter_classes(args.index, args.type))
-    # A class has at most n members, as a subgroup lies in its normaliser, so
-    # a chunk of _CHUNK // n classes holds at most _CHUNK member objects.
-    _emit(args.out, _json_list(objs, tuple(document.split("[]")), max(1, _CHUNK // args.index)))
+    head = f'{{\n  "class_count": {sum(1 for _ in classes)},\n  "classes": '
+    items = starmap(class_text, catalog.iter_classes(args.index, args.type))
+    _emit(args.out, chain([head], _json_items(items, 2), [f',\n  "index": {args.index}\n}}\n']))
     return 0
 
 

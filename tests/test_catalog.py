@@ -458,8 +458,8 @@ def test_descriptor_json_round_trip():
 
 
 def test_to_json_dict_keys_follow_the_field_table():
-    # to_json_dict writes each type's keys by hand; catalog.FIELDS is the one
-    # table that from_json_dict and the classes cell read, so the two must agree
+    # to_json_dict, from_json_dict and the CLI's descriptor templates all read
+    # catalog.FIELDS: the keys follow it, and it names every field of the records
     for n in range(1, 49):
         for d in enumerate_index(n):
             obj = to_json_dict(d)

@@ -14,9 +14,9 @@ import pytest
 
 import hwcover
 from hwcover import catalog
-from hwcover.cli import (_CSV_FIELDS, _csv, _descriptor_csv_row, _emit, _representative_cell,
+from hwcover.cli import (_CSV_FIELDS, _csv, _descriptor_csv_row, _emit, _text,
                          descriptor_from_csv_row, main)
-from witnesses import csv_text, descriptor_csv, json_representative_cell
+from witnesses import csv_text, descriptor_csv, json_classes, json_descriptor_text, json_enumerate
 
 
 def run_cli(capsys, *argv):
@@ -163,10 +163,27 @@ def test_classes_csv(capsys):
 
 @pytest.mark.parametrize("iso", catalog.ISO_TYPES)
 def test_representative_cells_match_the_json_route(iso):
-    # every class of the type at n <= 48 and at the benchmark's indices and 256
-    for n in [*range(1, 49), 100, 104, 116, 243, 256]:
+    # every descriptor of the type at n <= 48 at each nesting the CLI prints: the
+    # classes CSV cell (None), an enumerate item (2), a classes representative (6)
+    # and member (8); and the cell of every class at the benchmark's indices and 256
+    for n in range(1, 49):
+        for d in catalog.enumerate_iso(iso, n):
+            for indent in (None, 2, 6, 8):
+                assert _text(d, indent) == json_descriptor_text(d, indent), (d, indent)
+    for n in (100, 104, 116, 243, 256):
         for rep, _ in catalog.iter_classes(n, iso):
-            assert _representative_cell(rep) == json_representative_cell(rep), rep
+            assert _text(rep) == json_descriptor_text(rep), rep
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 48, 243])
+@pytest.mark.parametrize("iso", [None, *catalog.ISO_TYPES])
+def test_descriptor_json_is_what_json_dumps_writes(n, iso, capsys):
+    # the whole documents, empty lists too (no g1 subgroup has index 3)
+    type_args = () if iso is None else ("--type", iso)
+    _, out, _ = run_cli(capsys, "enumerate", "--index", str(n), *type_args, "--format", "json")
+    assert out == json_enumerate(n, iso)
+    _, out, _ = run_cli(capsys, "classes", "--index", str(n), *type_args, "--format", "json")
+    assert out == json_classes(n, iso)
 
 
 def test_classes_bytes_pinned(tmp_path, capsys):
@@ -333,7 +350,8 @@ class _HashSink:
     (["count", "--max", "5000", "--format", "json"], 3),
     (["normal", "--max", "2000", "--format", "json"], 2),
     (["series", "--max", "5000", "--out", "PATH"], 4),
-    # 498 classes with their 6,699 members; chunks of 256 classes peak at 11.0 MB.
+    # 498 classes with their 6,699 members, formatted one class at a time: 0.09 MB
+    # (json.dumps of chunks of 256 classes peaked at 11.0 MB, of 4 classes at 0.34 MB).
     (["classes", "--index", "64", "--format", "json"], 2),
     # 392,448 rows in 1,533 planes of 256 rows: chunks of at least 256 lines
     # peak at 0.3 MB, chunks of 256 whole planes at 5.8 MB.
@@ -397,7 +415,9 @@ class _WriteSink:
     ["normal", "--max", "20000"],  # 60,001 lines of one row each
     ["enumerate", "--index", "945"],  # G6 boxes of 945 lines each
     ["count", "--max", "20000", "--format", "json"],  # 256 objects per piece
-], ids=["normal", "enumerate-g6-boxes", "count-json"])
+    ["enumerate", "--index", "256", "--format", "json"],  # one descriptor per piece
+    ["classes", "--index", "64", "--format", "json"],  # one class with its members per piece
+], ids=["normal", "enumerate-g6-boxes", "count-json", "enumerate-json", "classes-json"])
 def test_writes_join_many_lines_and_stay_bounded(argv, capsys, monkeypatch):
     # One write per row is slow on a piped stdout, and a join of a fixed number
     # of pieces grows with the pieces (a G6 box of enumerate is n lines)
@@ -594,18 +614,32 @@ def test_import_leaves_out_the_introspection_modules():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [("verify", "--max", "4"), ("classes", "--index", "16")],
-                         ids=["verify", "classes"])
-def test_csv_commands_do_not_import_json(argv):
-    # the JSON paths import json where they run; a CSV command leaves it
-    # unloaded unless the interpreter's own start-up loaded it
+def _json_left_unloaded(argv) -> bool:
+    """Whether the command, run in a fresh child, leaves json unloaded if start-up did."""
     code = ("import os, sys; before = 'json' in sys.modules; from hwcover import cli; "
             f"code = cli.main([*{argv!r}, '--out', os.devnull]); "
             "print(code, before or 'json' not in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 True\n"
+    return proc.stdout == "0 True\n"
+
+
+@pytest.mark.parametrize("argv", [("verify", "--max", "4"), ("classes", "--index", "16")],
+                         ids=["verify", "classes"])
+def test_csv_commands_do_not_import_json(argv):
+    # the JSON paths of count, normal, series and verify import json where they
+    # run; a CSV command leaves it unloaded unless the interpreter's own start-up loaded it
+    assert _json_left_unloaded(argv)
+
+
+@pytest.mark.parametrize("argv", [("enumerate", "--index", "16", "--format", "json"),
+                                  ("classes", "--index", "16", "--format", "json")],
+                         ids=["enumerate", "classes"])
+def test_descriptor_json_does_not_import_json(argv):
+    # every descriptor text fills the template of its record class, so the
+    # JSON of enumerate and classes never reaches the json encoder
+    assert _json_left_unloaded(argv)
 
 
 def test_broken_stdout_exits_2(capsys, monkeypatch):

@@ -15,9 +15,11 @@ returns every subgroup, not one table per conjugacy class.
 ``walk_table_key`` reads a subgroup key by walking the square orbit from the
 one basepoint it keys, where ``oracle`` walks each orbit once for all the
 basepoints in it.
-``json_representative_cell`` writes the ``classes`` CSV representative by
-``json.dumps``, where the command fills one template per record class, built
-from ``catalog.FIELDS``.
+``json_descriptor_text`` writes a descriptor by ``json.dumps`` at each nesting
+the CLI prints: the ``classes`` CSV representative, quoted, and the items of
+the ``enumerate`` and ``classes`` JSON, where the commands fill one template
+per record class and indent, built from ``catalog.FIELDS``.  ``json_enumerate``
+and ``json_classes`` write those whole JSON documents by one ``json.dumps``.
 ``csv_text`` writes rows through ``csv.writer``, where the CLI formats each
 line from one template per header and quotes the one cell that needs it
 itself; ``descriptor_csv`` writes the ``enumerate`` CSV by it over the
@@ -247,6 +249,32 @@ def walk_table_key(t: CosetTable, base: int) -> tuple:
         for letter, perm in zip("xyz", (x, y, z)) if (v := vec.get(perm[base])) is not None))
 
 
-def json_representative_cell(d: catalog.Descriptor) -> str:
-    """The classes CSV cell of a representative: its sorted JSON, quoted, inner quotes doubled."""
-    return '"%s"' % json.dumps(catalog.to_json_dict(d), sort_keys=True).replace('"', '""')
+def json_descriptor_text(d: catalog.Descriptor, indent: int | None = None) -> str:
+    """d's sorted JSON nested indent spaces deep, or for None on one line as a quoted CSV cell."""
+    obj = catalog.to_json_dict(d)
+    if indent is None:
+        return '"%s"' % json.dumps(obj, sort_keys=True).replace('"', '""')
+    # json.dumps escapes every newline inside a string, so nesting indents each raw one
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + " " * indent)
+
+
+def json_enumerate(n: int, iso: str | None = None) -> str:
+    """The output of enumerate --format json: the list of descriptors, by one json.dumps."""
+    isos = catalog.ISO_TYPES if iso is None else (iso,)
+    ds = [d for t in isos for d in catalog.enumerate_iso(t, n)]
+    return json.dumps([catalog.to_json_dict(d) for d in ds], indent=2, sort_keys=True) + "\n"
+
+
+def json_classes(n: int, iso: str | None = None) -> str:
+    """The output of classes --format json, by one json.dumps, the classes from the orbit closure.
+
+    The classes are ordered as the command walks them: type by type, and by
+    least member, which represents its class.
+    """
+    isos = catalog.ISO_TYPES if iso is None else (iso,)
+    classes = [c for t in isos for c in catalog.conjugacy_classes(catalog.enumerate_iso(t, n))]
+    items = [{"type": catalog.iso_of(c[0]), "size": len(c),
+              "representative": catalog.to_json_dict(c[0]),
+              "members": [catalog.to_json_dict(d) for d in c]} for c in classes]
+    return json.dumps({"class_count": len(classes), "index": n, "classes": items},
+                      indent=2, sort_keys=True) + "\n"
