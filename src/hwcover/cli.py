@@ -214,15 +214,20 @@ def _emit(path: str | None, pieces) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _table(args, header: Sequence[str], rows) -> int:
+    """Write the rows under the header as CSV, or as a JSON list of one object per row."""
+    _emit(args.out, _csv(header, rows) if args.format == "csv"
+          else _json_list(dict(zip(header, row)) for row in rows))
+    return 0
+
+
 def _cmd_count(args) -> int:
     arrays = catalog.count_arrays(args.max)
     columns = [arrays[iso, kind] for kind in ("s", "c") for iso in catalog.ISO_TYPES]
     rows = ((n, s1, s2, s6, s1 + s2 + s6, c1, c2, c6, c1 + c2 + c6)
             for n, s1, s2, s6, c1, c2, c6 in zip(range(1, args.max + 1), *columns))
     header = ["n", "s_g1", "s_g2", "s_g6", "s_total", "c_g1", "c_g2", "c_g6", "c_total"]
-    _emit(args.out, _csv(header, rows) if args.format == "csv"
-          else _json_list(dict(zip(header, row)) for row in rows))
-    return 0
+    return _table(args, header, rows)
 
 
 def _cmd_enumerate(args) -> int:
@@ -274,10 +279,7 @@ def _cmd_normal(args) -> int:
                 for iso in catalog.ISO_TYPES]
     rows = ((n, iso, *cells) for n, cells_by_type in enumerate(zip(*per_type), 1)
             for iso, cells in zip(catalog.ISO_TYPES, cells_by_type))
-    header = ["n", "type", "s", "c", "normal"]
-    _emit(args.out, _csv(header, rows) if args.format == "csv"
-          else _json_list(dict(zip(header, row)) for row in rows))
-    return 0
+    return _table(args, ["n", "type", "s", "c", "normal"], rows)
 
 
 def _cmd_series(args) -> int:
@@ -361,47 +363,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hantzsche-Wendt manifold.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    types = {"--type": dict(choices=catalog.ISO_TYPES)}
+    limit = {"--oracle-limit": dict(
+        type=_oracle_limit, default=oracle.DEFAULT_ORACLE_LIMIT, metavar="K",
+        help=f"fill the oracle columns for n <= K (default "
+             f"{oracle.DEFAULT_ORACLE_LIMIT}, hard cap {oracle.HARD_CAP})")}
+    # Built per call, as perfbench/tracer.py rebinds the _cmd_* globals after import.
+    commands = [
+        ("count", "counting table for 1 <= n <= MAX", "--max", {}, _cmd_count),
+        ("enumerate", "explicit descriptors at one index", "--index", types, _cmd_enumerate),
+        ("classes", "conjugacy classes at one index", "--index", types, _cmd_classes),
+        ("normal", "summary n,type,s,c,normal for n <= MAX", "--max", {}, _cmd_normal),
+        ("series", "generating-function audit up to MAX", "--max", {}, _cmd_series),
+        ("verify", "three-way verification for n <= MAX", "--max", limit, _cmd_verify),
+    ]
+    for name, summary, size, options, func in commands:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(size, type=_positive, required=True)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", metavar="PATH", default=None)
-
-    p = sub.add_parser("count", help="counting table for 1 <= n <= MAX")
-    p.add_argument("--max", type=_positive, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("enumerate", help="explicit descriptors at one index")
-    p.add_argument("--index", type=_positive, required=True)
-    p.add_argument("--type", choices=catalog.ISO_TYPES, default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("classes", help="conjugacy classes at one index")
-    p.add_argument("--index", type=_positive, required=True)
-    p.add_argument("--type", choices=catalog.ISO_TYPES, default=None)
-    add_common(p)
-    p.set_defaults(func=_cmd_classes)
-
-    p = sub.add_parser("normal", help="summary n,type,s,c,normal for n <= MAX")
-    p.add_argument("--max", type=_positive, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_normal)
-
-    p = sub.add_parser("series", help="generating-function audit up to MAX")
-    p.add_argument("--max", type=_positive, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_series)
-
-    p = sub.add_parser("verify", help="three-way verification for n <= MAX")
-    p.add_argument("--max", type=_positive, required=True)
-    p.add_argument("--oracle-limit", type=_oracle_limit,
-                   default=oracle.DEFAULT_ORACLE_LIMIT, metavar="K",
-                   help=f"fill the oracle columns for n <= K (default "
-                        f"{oracle.DEFAULT_ORACLE_LIMIT}, hard cap {oracle.HARD_CAP})")
-    add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
+        p.add_argument("--out", metavar="PATH")
+        p.set_defaults(func=func)
     return parser
 
 

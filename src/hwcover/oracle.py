@@ -97,7 +97,7 @@ _ROT: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
 )
 
 DEFAULT_ORACLE_LIMIT = 16
-HARD_CAP = 96
+HARD_CAP = 128
 
 
 class _Images(NamedTuple):

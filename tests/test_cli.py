@@ -1,10 +1,12 @@
 """Command-line surface: schemas, round trips, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ import pytest
 
 import hwcover
 from hwcover import catalog
-from hwcover.cli import (_CSV_FIELDS, _csv, _descriptor_csv_row, _emit, _text,
+from hwcover.cli import (_CSV_FIELDS, _csv, _descriptor_csv_row, _emit, _text, build_parser,
                          descriptor_from_csv_row, main)
 from witnesses import csv_text, descriptor_csv, json_classes, json_descriptor_text, json_enumerate
 
@@ -499,10 +501,10 @@ def test_exit_code_2_on_bad_flags(capsys):
         main(["enumerate"])  # missing --index
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--max", "4", "--oracle-limit", "99"])  # above hard cap
+        main(["verify", "--max", "4", "--oracle-limit", "130"])  # above hard cap
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--max", "4", "--oracle-limit", "97"])  # one above hard cap
+        main(["verify", "--max", "4", "--oracle-limit", "129"])  # one above hard cap
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["count", "--max", "0"])
@@ -532,6 +534,105 @@ def test_exit_code_2_on_bad_flags(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--oracle-limit: must be" in err and "invalid _" not in err and "9" * 50 not in err, err
+
+
+# argparse's help and error text on Python 3.10 and 3.11 at 80 columns (it wraps to the
+# terminal width): the surface build_parser gives the six subcommands, pinned whole.
+_OPTIONS = """
+options:
+  -h, --help           show this help message and exit
+  {size}
+  {extra}--format {{csv,json}}
+  --out PATH
+"""
+_HELP = {
+    None: """usage: hwcover [-h] {count,enumerate,classes,normal,series,verify} ...
+
+Count and classify the finite-sheeted coverings of the Hantzsche-Wendt
+manifold.
+
+positional arguments:
+  {count,enumerate,classes,normal,series,verify}
+    count               counting table for 1 <= n <= MAX
+    enumerate           explicit descriptors at one index
+    classes             conjugacy classes at one index
+    normal              summary n,type,s,c,normal for n <= MAX
+    series              generating-function audit up to MAX
+    verify              three-way verification for n <= MAX
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "count": "usage: hwcover count [-h] --max MAX [--format {csv,json}] [--out PATH]\n"
+             + _OPTIONS.format(size="--max MAX", extra=""),
+    "enumerate": "usage: hwcover enumerate [-h] --index INDEX [--type {g1,g2,g6}]\n"
+                 "                         [--format {csv,json}] [--out PATH]\n"
+                 + _OPTIONS.format(size="--index INDEX", extra="--type {g1,g2,g6}\n  "),
+    "classes": "usage: hwcover classes [-h] --index INDEX [--type {g1,g2,g6}]\n"
+               "                       [--format {csv,json}] [--out PATH]\n"
+               + _OPTIONS.format(size="--index INDEX", extra="--type {g1,g2,g6}\n  "),
+    "normal": "usage: hwcover normal [-h] --max MAX [--format {csv,json}] [--out PATH]\n"
+              + _OPTIONS.format(size="--max MAX", extra=""),
+    "series": "usage: hwcover series [-h] --max MAX [--format {csv,json}] [--out PATH]\n"
+              + _OPTIONS.format(size="--max MAX", extra=""),
+    "verify": "usage: hwcover verify [-h] --max MAX [--oracle-limit K] [--format {csv,json}]\n"
+              "                      [--out PATH]\n"
+              + _OPTIONS.format(size="--max MAX", extra=(
+                  "--oracle-limit K     fill the oracle columns for n <= K (default 16, hard\n"
+                  "                       cap 128)\n  ")),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP), ids=lambda c: c or "hwcover")
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _HELP[command]
+
+
+_SIZE = {"count": "--max", "enumerate": "--index", "classes": "--index",
+         "normal": "--max", "series": "--max", "verify": "--max"}
+_USAGE_ERRORS = [
+    *[([cmd], f"hwcover {cmd}: error: the following arguments are required: {size}")
+      for cmd, size in _SIZE.items()],
+    *[([cmd, size, "0"], f"hwcover {cmd}: error: argument {size}: must be >= 1")
+      for cmd, size in _SIZE.items()],
+    *[([cmd, size, "3", "--format", "xml"],
+       f"hwcover {cmd}: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')")
+      for cmd, size in _SIZE.items()],
+    *[([cmd, size, "3", "--type", "g9"],
+       f"hwcover {cmd}: error: argument --type: invalid choice: 'g9' (choose from 'g1', 'g2', 'g6')"
+       if cmd in ("enumerate", "classes") else "hwcover: error: unrecognized arguments: --type g9")
+      for cmd, size in _SIZE.items()],
+    (["verify", "--max", "3", "--oracle-limit", "129"],
+     "hwcover verify: error: argument --oracle-limit: must be <= 128, "
+     "the hard cap of the coset-table search"),
+]
+
+
+@pytest.mark.parametrize("argv, error", _USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in _USAGE_ERRORS])
+def test_usage_errors_are_pinned(argv, error, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == error
+
+
+def test_readme_synopsis_names_every_option():
+    # each "hwcover <cmd>" line of the README's "Command line" block names exactly the long
+    # options of that subparser, in the parser's order
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: re.findall(r"--[a-z-]+", line.split("#")[0])
+                for line in block.splitlines()}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert synopsis == {
+        cmd: [opt for action in parser._actions for opt in action.option_strings
+              if opt.startswith("--") and opt != "--help"]
+        for cmd, parser in sub.choices.items()}
 
 
 def test_exit_code_2_on_unwritable_path(capsys):

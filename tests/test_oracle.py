@@ -402,9 +402,9 @@ def test_csv_rows_shape():
 
 
 def test_hard_cap_guard():
-    assert HARD_CAP == 96
+    assert HARD_CAP == 128
     with pytest.raises(ValueError):
-        low_index(97, search_limit=97)
+        low_index(129, search_limit=129)
 
 
 def _swap_one_key(monkeypatch, victim, replacement):
