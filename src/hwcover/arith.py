@@ -7,7 +7,7 @@ A closed form is a tuple of terms (c, k, base), c * base(n / 2^k), 0 off the
 positive integers: its polynomial in 2^-s acts at the prime 2 alone.
 :func:`form_value` reads a form at one factored n, the odd part once and the
 local factor at 2 per term.  :func:`form_values` is its array form for all
-n <= N, which evaluates FORMS and GF_TABLE: each base is sieved at the odd
+n <= N, which reads FORMS and GF_TABLE alike: each base is sieved at the odd
 m <= N only, and each form folds into one weight per base on each 2-adic
 level n = 2^e m (Crandall and Pomerance, *Prime Numbers*, 3.2).
 :func:`zeta_product` is one base read through it; the generic Dirichlet
@@ -253,50 +253,41 @@ def _fold(key: object, form: tuple, odd: dict, N: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Reference generating functions of the six counting sequences in product
-# form: each row is a sum of terms (polynomial in t = 2^-s, zeta shifts),
-# which table_form reads as closed-form terms.  Two rows are kept exactly as
-# the source tabulates them, so that series_report audits, not repairs, them:
+# Reference generating functions of the six counting sequences in FORMS'
+# terms (c, k, base).  Each row is written out term by term from the
+# tabulated formula in its comment, apart from FORMS, so that series_report
+# compares two transcriptions; two rows are kept exactly as the source
+# tabulates them, so that the audit flags, not repairs, them:
 #   * ("g2", "s") lacks a factor 3 (first divergence at n = 2);
 #   * ("g6", "s") is tabulated under a "g1" label but is the g6 subgroup sequence.
 # ---------------------------------------------------------------------------
 
 F = Fraction
 
-GF_TABLE: dict[tuple[str, str], list[tuple[list, tuple[int, ...]]]] = {
+GF_TABLE: dict[tuple[str, str], tuple] = {
     # 4^-s zeta(s) zeta(s-1) zeta(s-2)
-    ("g1", "s"): [([0, 0, 1], (0, 1, 2))],
+    ("g1", "s"): ((1, 2, OMEGA),),
     # 2^-s (1 - 2^-s) zeta(s) zeta(s-1) zeta(s-2)   [as tabulated; audit flags x3]
-    ("g2", "s"): [([0, 1, -1], (0, 1, 2))],
+    ("g2", "s"): ((1, 1, OMEGA), (-1, 2, OMEGA)),
     # (1 - 2^(-s+1))^3 zeta^3(s-1)                  [tabulated under the wrong label]
-    ("g6", "s"): [([1, -6, 12, -8], (1, 1, 1))],
+    ("g6", "s"): ((1, 0, N_D3), (-6, 1, N_D3), (12, 2, N_D3), (-8, 3, N_D3)),
     # 4^(-s-1) ( zeta(s) zeta(s-1) zeta(s-2) + (3 + 9 . 2^-s) zeta^2(s) zeta(s-1) )
-    ("g1", "c"): [
-        ([0, 0, F(1, 4)], (0, 1, 2)),
-        ([0, 0, F(3, 4), F(9, 4)], (0, 0, 1)),
-    ],
+    ("g1", "c"): ((F(1, 4), 2, OMEGA), (F(3, 4), 2, SIGMA2), (F(9, 4), 3, SIGMA2)),
     # 3/2 ( (2^-s + 2 . 4^-s - 3 . 8^-s) zeta^2(s) zeta(s-1)
     #       + (2^-s - 4^-s - 3 . 8^-s + 5 . 16^-s - 2 . 32^-s) zeta^3(s) )
-    ("g2", "c"): [
-        ([0, F(3, 2), 3, F(-9, 2)], (0, 0, 1)),
-        ([0, F(3, 2), F(-3, 2), F(-9, 2), F(15, 2), -3], (0, 0, 0)),
-    ],
+    ("g2", "c"): ((F(3, 2), 1, SIGMA2), (3, 2, SIGMA2), (F(-9, 2), 3, SIGMA2),
+                  (F(3, 2), 1, D3), (F(-3, 2), 2, D3), (F(-9, 2), 3, D3), (F(15, 2), 4, D3),
+                  (-3, 5, D3)),
     # (1 - 2^-s)^3 zeta^3(s)
-    ("g6", "c"): [([1, -3, 3, -1], (0, 0, 0))],
+    ("g6", "c"): ((1, 0, D3), (-3, 1, D3), (3, 2, D3), (-1, 3, D3)),
 }
-
-
-def table_form(iso: str, kind: str) -> tuple:
-    """The GF_TABLE row as closed-form terms: poly[k] 2^-ks zeta-product is (poly[k], k, shifts)."""
-    if (iso, kind) not in GF_TABLE:
-        raise ValueError(f"unknown series kind {kind!r}" if kind not in ("s", "c")
-                         else f"unknown isomorphism type {iso!r}")
-    return tuple((c, k, shifts) for poly, shifts in GF_TABLE[iso, kind]
-                 for k, c in enumerate(poly) if c)
 
 
 def gf_coeffs(iso: str, kind: str, N: int) -> list[int]:
     """First N coefficients of the tabulated generating function row."""
     if N < 1:
         raise ValueError("truncation order must be >= 1")
-    return form_values({"row": table_form(iso, kind)}, N)["row"]
+    if (iso, kind) not in GF_TABLE:
+        raise ValueError(f"unknown series kind {kind!r}" if kind not in ("s", "c")
+                         else f"unknown isomorphism type {iso!r}")
+    return form_values({"row": GF_TABLE[iso, kind]}, N)["row"]

@@ -145,7 +145,7 @@ def _times_n(form: tuple) -> tuple:
 
 
 # The closed forms, as terms (coefficient, k, base) of arith.form_value.  The
-# (type, kind) rows are the counts: kind "s" subgroups, kind "c" classes.
+# (type, kind) rows are the counts: kind "s" subgroups, "c" classes, "normal" normal subgroups.
 FORMS: dict[object, tuple] = {
     ("g1", "s"): ((1, 2, OMEGA),),
     ("g2", "s"): ((3, 1, OMEGA), (-3, 2, OMEGA)),
@@ -154,11 +154,11 @@ FORMS: dict[object, tuple] = {
     # Index-n sublattices of Z^2 / Z^3 fixed by one coordinate sign flip.
     "flip_fixed_2d": ((1, 0, SIGMA0), (1, 1, SIGMA0)),
     "flip_fixed_3d": ((1, 0, SIGMA2), (3, 1, SIGMA2)),
-    # Normal subgroups per type (see normal_counts for the z3_normal erratum):
-    # g2 has 3 at n = 2 mod 4 and 6 at n = 4 mod 8, g6 only the whole group.
-    "z3_normal": ((1, 2, D3), (4, 3, D3), (1, 4, D3)),
-    "g2_normal": ((3, 1, ONE), (3, 2, ONE), (-6, 3, ONE)),
-    "g6_normal": ((1, 0, DELTA),),
+    # Normal subgroups (see normal_counts for the erratum of the g1 row): g2
+    # has 3 at n = 2 mod 4 and 6 at n = 4 mod 8, g6 only the whole group.
+    ("g1", "normal"): ((1, 2, D3), (4, 3, D3), (1, 4, D3)),
+    ("g2", "normal"): ((3, 1, ONE), (3, 2, ONE), (-6, 3, ONE)),
+    ("g6", "normal"): ((1, 0, DELTA),),
     # Axis-x partial classes of G2-type subgroups: fixed by conjugation by y, and all.
     "g2_partial_fixed": ((1, 1, D3), (-1, 2, D3), (-3, 3, D3), (5, 4, D3), (-2, 5, D3)),
     "g2_partial_total": ((1, 1, SIGMA2), (2, 2, SIGMA2), (-3, 3, SIGMA2)),
@@ -172,7 +172,6 @@ FORMS["g1", "c"] = (_scaled(Fraction(1, 4), FORMS["g1", "s"])
 FORMS["g2", "c"] = _scaled(Fraction(3, 2), FORMS["g2_partial_total"] + FORMS["g2_partial_fixed"])
 
 _COUNT_KEYS = tuple((iso, kind) for kind in ("s", "c") for iso in ISO_TYPES)
-_NORMAL_ROWS = {"g1": "z3_normal", "g2": "g2_normal", "g6": "g6_normal"}
 
 
 def _known_iso(iso: str) -> str:
@@ -192,13 +191,13 @@ def count_c(iso: str, n: int) -> int:
 
 
 def normal_counts(n: int) -> tuple[int, int, int]:
-    """Normal index-n subgroups per type (g1, g2, g6): the *_normal rows of FORMS.
+    """Normal index-n subgroups per type (g1, g2, g6): the (type, "normal") rows of FORMS.
 
     Erratum note: the published closed form for the g1 (Z^3) type carries an
     extra 2 d3(n/32) term coming from two matrix families that are not in
     fact normal (their basis vector x^(2f) y^2 z^2 conjugates to
     x^(2f) y^-2 z^-2, which the lattice misses whenever the half-shift
-    structure forces 4 | exponent gaps).  The z3_normal row matches the
+    structure forces 4 | exponent gaps).  The (g1, normal) row matches the
     subgroups fixed by conjugation with each generator, and the singleton
     classes of the oracle's coset tables (from the presentation alone); the
     first divergence of the published form is n = 32 (39 vs the actual 37),
@@ -206,7 +205,7 @@ def normal_counts(n: int) -> tuple[int, int, int]:
     the test suite for n <= 32; a CI step counts the 61 singleton g1 classes
     of the oracle's search at n = 64.
     """
-    return tuple(form_value(FORMS[row], n) for row in _NORMAL_ROWS.values())
+    return tuple(form_value(FORMS[iso, "normal"], n) for iso in ISO_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +556,12 @@ def count_arrays(N: int) -> dict[tuple[str, str], list[int]]:
 
 
 def normal_arrays(N: int) -> dict[tuple[str, str], list[int]]:
-    """count_arrays plus the normal counts for all n <= N, keyed (type, "normal").
+    """count_arrays plus the normal counts for all n <= N: the (type, "normal") rows of FORMS.
 
     One form_values call, so the count and normal rows share their bases.
     """
-    return arith.form_values({**{key: FORMS[key] for key in _COUNT_KEYS},
-                              **{(iso, "normal"): FORMS[row] for iso, row in _NORMAL_ROWS.items()}},
-                             N)
+    keys = (*_COUNT_KEYS, *((iso, "normal") for iso in ISO_TYPES))
+    return arith.form_values({key: FORMS[key] for key in keys}, N)
 
 
 def _first_divergence(a: list[int], b: list[int]) -> int | None:
@@ -581,7 +579,7 @@ def series_tables(N: int) -> tuple[dict, dict]:
     One form_values call over both sets of rows, so each base is sieved once.
     """
     vals = arith.form_values({**{("formula", key): FORMS[key] for key in _COUNT_KEYS},
-                              **{("table", key): arith.table_form(*key) for key in _COUNT_KEYS}}, N)
+                              **{("table", key): arith.GF_TABLE[key] for key in _COUNT_KEYS}}, N)
     return ({key: vals["formula", key] for key in _COUNT_KEYS},
             {key: vals["table", key] for key in _COUNT_KEYS})
 

@@ -29,7 +29,6 @@ from hwcover.arith import (
     sigma0,
     sigma1,
     sigma2,
-    table_form,
     zeta_coeffs,
     zeta_product,
 )
@@ -200,7 +199,7 @@ def convolution_chain(shifts, N):
 
 
 TABLE_BASES = sorted({base for form in catalog.FORMS.values() for _, _, base in form}
-                     | {shifts for row in GF_TABLE.values() for _, shifts in row})
+                     | {base for form in GF_TABLE.values() for _, _, base in form})
 
 
 @pytest.mark.parametrize("shifts", TABLE_BASES, ids=str)
@@ -258,7 +257,7 @@ def test_form_values_evaluates_equal_forms_once_into_separate_lists():
     N = 200
     # the (g2, c) rows of FORMS and GF_TABLE are equal forms with the terms
     # 3 and Fraction(3, 1) in the same place
-    forms = {"formula": catalog.FORMS["g2", "c"], "table": table_form("g2", "c"),
+    forms = {"formula": catalog.FORMS["g2", "c"], "table": GF_TABLE["g2", "c"],
              "int": ((3, 1, SIGMA2), (-1, 2, OMEGA)),
              "fraction": ((Fraction(3, 1), 1, SIGMA2), (-1, 2, OMEGA)),
              "other": ((1, 0, OMEGA),)}
@@ -325,7 +324,7 @@ FOLD_SIZES = sorted({*range(131), *(2 ** k + d for k in range(13) for d in (-1, 
 
 
 def test_form_values_match_the_one_n_evaluator_at_every_fold_size():
-    forms = {**catalog.FORMS, **{("table", *key): table_form(*key) for key in GF_TABLE}, **FOLD_FORMS}
+    forms = {**catalog.FORMS, **{("table", *key): form for key, form in GF_TABLE.items()}, **FOLD_FORMS}
     top = max(FOLD_SIZES)
     reference = {key: [form_value(form, n) for n in range(1, top + 1)] for key, form in forms.items()}
     for N in FOLD_SIZES:
@@ -338,9 +337,9 @@ def test_form_values_match_the_one_n_evaluator_at_every_fold_size():
 
 def test_published_z3_normal_term_diverges_at_32_and_64(monkeypatch):
     # the erratum of normal_counts: the published form's extra 2 d3(n/32)
-    published = catalog.FORMS["z3_normal"] + ((2, 5, D3),)
+    published = catalog.FORMS["g1", "normal"] + ((2, 5, D3),)
     fixed = catalog.normal_arrays(64)["g1", "normal"]
-    monkeypatch.setitem(catalog.FORMS, "z3_normal", published)
+    monkeypatch.setitem(catalog.FORMS, ("g1", "normal"), published)
     wrong = catalog.normal_arrays(64)["g1", "normal"]
     assert wrong == form_values({"published": published}, 64)["published"]
     assert wrong == [form_value(published, n) for n in range(1, 65)]
@@ -350,25 +349,36 @@ def test_published_z3_normal_term_diverges_at_32_and_64(monkeypatch):
 
 # --- tabulated generating functions -------------------------------------------
 
-def test_table_form_reads_each_polynomial_coefficient_as_a_term():
-    assert table_form("g1", "s") == ((1, 2, OMEGA),)
-    assert table_form("g1", "c") == ((Fraction(1, 4), 2, OMEGA), (Fraction(3, 4), 2, SIGMA2),
-                                     (Fraction(9, 4), 3, SIGMA2))
-    with pytest.raises(ValueError, match="unknown series kind 'x'"):
-        table_form("g1", "x")
-
-
 @pytest.mark.parametrize("key", sorted(GF_TABLE))
 def test_gf_rows_agree_with_the_divisor_sum_evaluator(key):
     # both evaluators are Euler products: the odd-part sieve folded at 2
     # (form_values) against the factorisation of each n (form_value); FORMS rows below
     N = 4096
-    assert gf_coeffs(*key, N) == [form_value(table_form(*key), n) for n in range(1, N + 1)]
+    assert gf_coeffs(*key, N) == [form_value(GF_TABLE[key], n) for n in range(1, N + 1)]
 
 
 def test_gf_coeffs_rejects_an_empty_truncation():
     with pytest.raises(ValueError, match="truncation order must be >= 1"):
         gf_coeffs("g1", "s", 0)
+
+
+def test_gf_coeffs_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown series kind 'x'"):
+        gf_coeffs("g1", "x", 4)
+
+
+def test_audited_rows_equal_their_forms_rows_for_every_n():
+    # equal terms give equal coefficients at every n, where series compares
+    # the rows only up to its --max
+    matches = [("g1", "s"), ("g6", "s"), ("g1", "c"), ("g2", "c"), ("g6", "c")]
+    for key in matches:
+        assert GF_TABLE[key] == catalog.FORMS[key], key
+    assert tuple((3 * c, k, base) for c, k, base in GF_TABLE["g2", "s"]) == catalog.FORMS["g2", "s"]
+    report = catalog.series_report(64)
+    assert [(r["type"], r["kind"]) for r in report["rows"] if r["verdict"] == "match"] == matches
+    g2_s, = (r for r in report["rows"] if (r["type"], r["kind"]) == ("g2", "s"))
+    assert g2_s["note"] == "tabulated row times 3 matches the subgroup counts"
+    assert report["row3_label"]["vs_g6_s"] == "match"
 
 
 @pytest.mark.parametrize("key", sorted(catalog.FORMS, key=str), ids=str)

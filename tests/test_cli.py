@@ -188,37 +188,62 @@ def test_descriptor_json_is_what_json_dumps_writes(n, iso, capsys):
     assert out == json_classes(n, iso)
 
 
-def test_classes_bytes_pinned(tmp_path, capsys):
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()
+# SHA-256 of stdout per command line; --out must write the same bytes.
+_PINNED = {
+    ("classes", "--index", "104"):
+        "11b4f67e2151e9e27540ab7d108e8136728358c6f0fbc86a2581bb39fbf49100",
+    ("classes", "--index", "275"):
+        "cd3ae8fbf07071f9c3a8bd72b8a28fbf3de0284f02c13931cb1eedb8a4f43119",
+    ("classes", "--index", "105"):
+        "ad898207af0ea49701151a79ea18d8ba75dc57d902c578fc804f4ab4b2b02fb0",
+    ("classes", "--index", "96", "--type", "g2"):
+        "23d09d4e5250cc71ba9cbaa3baf844853041b0970e49dca834630fa20e3c3a48",
+    ("classes", "--index", "96", "--type", "g1"):
+        "e433c5b26cbd75ba372422df0072ff71675d1801e1dbf84044d7cb94a8e370b6",
+    ("classes", "--index", "48", "--format", "json"):
+        "5f3d25309136b727df58603be63fa8a87270593d6df0a355e249aa8f31d40d9e",
+    ("classes", "--index", "45", "--format", "json"):
+        "fa00849a5f4a5e946ae4e3a57d741f223a4d1ecbfa2db742b4ce54d2a7d49f79",
+    ("classes", "--index", "64", "--type", "g2", "--format", "json"):
+        "0e4d1ac16140dddda8511dcb4776385b64b4da3fbad21caba550ca1406450b2a",
+    ("classes", "--index", "200", "--type", "g2"):
+        "432548f57c13ac05a94d43ee8e05f328186a63417c43c29037c44954b3b13148",
+    ("enumerate", "--index", "96"):
+        "91548c4a1694f90789fe19723c94cd8357edf05fc7f2358b576a0a0d524aa9c4",
+    ("enumerate", "--index", "96", "--type", "g1"):
+        "c6b934452dd380f4d74514907757230021533a97ee6010f01cf0f5167813b1c1",
+    ("enumerate", "--index", "96", "--type", "g2"):
+        "d59b25244cba3217201a90c8ef8c310dfb3cf7120cce826523ee7375e4263a15",
+    ("enumerate", "--index", "45", "--type", "g6"):
+        "7b53671cb233a86846365767abb6545f97d8ccfe90b8cda5a299e54e5094375b",
+    ("enumerate", "--index", "48", "--format", "json"):
+        "b355a3965fc185ce7c70c9b7d1180cf5b45532c6bf9f15f91ab28797c10a41e4",
+    ("enumerate", "--index", "27", "--format", "json"):
+        "04576e06813b7052e92e37cc0dffa82850d84a73e1564283d0eea58c57204be4",
+    ("count", "--max", "1000"):
+        "bd99f6dc1d3c79d9ac1f7ade2c70d703662a6721f8fe2812604515f9c0cc8974",
+    # 1000 objects: four JSON chunks
+    ("count", "--max", "1000", "--format", "json"):
+        "be552db7f7ac2f8e20b46e5e17c3a3dc1979b473647a747e9e040e1aa756373b",
+    ("verify", "--max", "12", "--oracle-limit", "12"):
+        "3b496511dde41cc2a59af73a4734ec3bd60b170f754ff10a383bc0e0815cc0fd",
+    ("verify", "--max", "12", "--oracle-limit", "12", "--format", "json"):
+        "38d78bcd9ac360b59b8f376e9a996003a95256f960b0da75e95789befa21fa5c",
+    ("normal", "--max", "256"):
+        "db0051bfd5b2647a5b6b4372ed3cabfaf9e710fe7b8b5f91d04bcd4a57a57784",
+    ("normal", "--max", "64", "--format", "json"):
+        "15d178f134fcfa26cf4fee5abe732dba4a4fae8a1d94a782bd25940a889bb25d",
+}
 
-    pinned = {
-        ("--index", "104"):
-            "11b4f67e2151e9e27540ab7d108e8136728358c6f0fbc86a2581bb39fbf49100",
-        ("--index", "275"):
-            "cd3ae8fbf07071f9c3a8bd72b8a28fbf3de0284f02c13931cb1eedb8a4f43119",
-        ("--index", "105"):
-            "ad898207af0ea49701151a79ea18d8ba75dc57d902c578fc804f4ab4b2b02fb0",
-        ("--index", "96", "--type", "g2"):
-            "23d09d4e5250cc71ba9cbaa3baf844853041b0970e49dca834630fa20e3c3a48",
-        ("--index", "96", "--type", "g1"):
-            "e433c5b26cbd75ba372422df0072ff71675d1801e1dbf84044d7cb94a8e370b6",
-        ("--index", "48", "--format", "json"):
-            "5f3d25309136b727df58603be63fa8a87270593d6df0a355e249aa8f31d40d9e",
-        ("--index", "45", "--format", "json"):
-            "fa00849a5f4a5e946ae4e3a57d741f223a4d1ecbfa2db742b4ce54d2a7d49f79",
-        ("--index", "64", "--type", "g2", "--format", "json"):
-            "0e4d1ac16140dddda8511dcb4776385b64b4da3fbad21caba550ca1406450b2a",
-        ("--index", "200", "--type", "g2"):
-            "432548f57c13ac05a94d43ee8e05f328186a63417c43c29037c44954b3b13148",
-    }
-    path = tmp_path / "classes.txt"
-    for argv, expected in pinned.items():
-        _, out, _ = run_cli(capsys, "classes", *argv)
-        assert digest(out) == expected, argv
-        code, to_file, _ = run_cli(capsys, "classes", *argv, "--out", str(path))
-        assert code == 0 and to_file == ""
-        assert path.read_text(encoding="utf-8") == out, argv
+
+@pytest.mark.parametrize("argv, expected", _PINNED.items(), ids=[" ".join(argv) for argv in _PINNED])
+def test_output_bytes_pinned(argv, expected, tmp_path, capsys):
+    _, out, _ = run_cli(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    path = tmp_path / "out.txt"
+    code, to_file, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and to_file == ""
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_normal_summary(capsys):
@@ -264,67 +289,6 @@ def test_series_bytes_pinned_at_4096(tmp_path, capsys):
     assert digest(csv_out.encode()) == "60e03c412d6c385ba6450a9f523d459f9cf4e6ca77404a3aae4e1143653ac33c"
     assert digest(json_out.encode()) == "67ddbdadef1a1f3597fd590963c8a930129ea563affe6ed3dac09f1fd6814d62"
     assert digest(path.read_bytes()) == "d2f2deb70c0eda7e92a25317d1a74cecb4a27e87bea0f052ebe667d9c00a1380"
-
-
-def test_normal_bytes_pinned(capsys):
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    _, csv_out, _ = run_cli(capsys, "normal", "--max", "256")
-    _, json_out, _ = run_cli(capsys, "normal", "--max", "64", "--format", "json")
-    assert digest(csv_out) == "db0051bfd5b2647a5b6b4372ed3cabfaf9e710fe7b8b5f91d04bcd4a57a57784"
-    assert digest(json_out) == "15d178f134fcfa26cf4fee5abe732dba4a4fae8a1d94a782bd25940a889bb25d"
-
-
-def test_enumerate_bytes_pinned(tmp_path, capsys):
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    pinned = {
-        ("--index", "96"):
-            "91548c4a1694f90789fe19723c94cd8357edf05fc7f2358b576a0a0d524aa9c4",
-        ("--index", "96", "--type", "g1"):
-            "c6b934452dd380f4d74514907757230021533a97ee6010f01cf0f5167813b1c1",
-        ("--index", "96", "--type", "g2"):
-            "d59b25244cba3217201a90c8ef8c310dfb3cf7120cce826523ee7375e4263a15",
-        ("--index", "45", "--type", "g6"):
-            "7b53671cb233a86846365767abb6545f97d8ccfe90b8cda5a299e54e5094375b",
-        ("--index", "48", "--format", "json"):
-            "b355a3965fc185ce7c70c9b7d1180cf5b45532c6bf9f15f91ab28797c10a41e4",
-        ("--index", "27", "--format", "json"):
-            "04576e06813b7052e92e37cc0dffa82850d84a73e1564283d0eea58c57204be4",
-    }
-    path = tmp_path / "rows.txt"
-    for argv, expected in pinned.items():
-        _, out, _ = run_cli(capsys, "enumerate", *argv)
-        assert digest(out) == expected, argv
-        code, to_file, _ = run_cli(capsys, "enumerate", *argv, "--out", str(path))
-        assert code == 0 and to_file == ""
-        assert path.read_text(encoding="utf-8") == out, argv
-
-
-def test_count_and_verify_bytes_pinned(tmp_path, capsys):
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    pinned = {
-        ("count", "--max", "1000"):
-            "bd99f6dc1d3c79d9ac1f7ade2c70d703662a6721f8fe2812604515f9c0cc8974",
-        # 1000 objects: four JSON chunks
-        ("count", "--max", "1000", "--format", "json"):
-            "be552db7f7ac2f8e20b46e5e17c3a3dc1979b473647a747e9e040e1aa756373b",
-        ("verify", "--max", "12", "--oracle-limit", "12"):
-            "3b496511dde41cc2a59af73a4734ec3bd60b170f754ff10a383bc0e0815cc0fd",
-        ("verify", "--max", "12", "--oracle-limit", "12", "--format", "json"):
-            "38d78bcd9ac360b59b8f376e9a996003a95256f960b0da75e95789befa21fa5c",
-    }
-    path = tmp_path / "table.txt"
-    for argv, expected in pinned.items():
-        _, out, _ = run_cli(capsys, *argv)
-        assert digest(out) == expected, argv
-        code, to_file, _ = run_cli(capsys, *argv, "--out", str(path))
-        assert code == 0 and to_file == ""
-        assert path.read_text(encoding="utf-8") == out, argv
 
 
 class _HashSink:

@@ -82,14 +82,13 @@ def table_membership(t, g):
 def test_normal_subgroups_are_the_singleton_classes_of_the_presentation():
     # A subgroup is normal exactly when its class has one member, so the
     # coset tables alone count the normal subgroups of each type.
-    rows = {"g1": "z3_normal", "g2": "g2_normal", "g6": "g6_normal"}
     for n in range(1, 33):
         by_type = {iso: [] for iso in ISO}
         for t in low_index(n, search_limit=32):
             by_type[stabilizer_type(t)].append(t)
         for iso, tables in by_type.items():
             normal = sum(1 for cls in classes_of(tables) if len(cls) == 1)
-            assert normal == arith.form_value(catalog.FORMS[rows[iso]], n), (n, iso)
+            assert normal == arith.form_value(catalog.FORMS[iso, "normal"], n), (n, iso)
             if (n, iso) == (32, "g1"):
                 assert normal == 37  # the published closed form says 39
 

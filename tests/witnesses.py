@@ -123,13 +123,13 @@ def z3_orbit_split(n: int) -> Z3OrbitSplit:
 
 
 def z3_orbit_split_closed_form(n: int) -> Z3OrbitSplit:
-    """The same partition from the z3_normal and z3_axis_fixed rows.
+    """The same partition from the (g1, normal) and z3_axis_fixed rows.
 
     A member of a class of size 2 is fixed by exactly one generator, a normal
     subgroup by all three, so summed over the three generators the fixed
     subgroups number 3 m1 + m2.
     """
-    m1 = form_value(catalog.FORMS["z3_normal"], n)
+    m1 = form_value(catalog.FORMS["g1", "normal"], n)
     m2 = 3 * form_value(catalog.FORMS["z3_axis_fixed"], n) - 3 * m1
     return Z3OrbitSplit(m1, m2, catalog.count_s("g1", n) - m1 - m2)
 
