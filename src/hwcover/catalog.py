@@ -690,13 +690,11 @@ class _Shown(reprlib.Repr):
 _shown = _Shown().repr
 
 
-def _int_field(obj: dict, tag: str, field: str) -> int:
+def _int_field(val, tag: str, field: str) -> int:
     """An integer field: a JSON int (not a bool) or is_int_text text, as in a CSV cell."""
-    val = obj.get(field)
     if type(val) is int or (isinstance(val, str) and is_int_text(val)):
         return int(val)
-    raise ValueError(f"{tag} descriptor field {field!r} = {_shown(val)} must be an integer"
-                     if field in obj else f"{tag} descriptor field {field!r} is missing")
+    raise ValueError(f"{tag} descriptor field {field!r} = {_shown(val)} must be an integer")
 
 
 def from_json_dict(obj: dict) -> Descriptor:
@@ -708,7 +706,8 @@ def from_json_dict(obj: dict) -> Descriptor:
         raise ValueError(f"a descriptor must be an object of fields, not {type(obj).__name__}")
     tag = obj.get("type")
     if not isinstance(tag, str) or tag not in FIELDS:
-        raise ValueError(f"descriptor field 'type' = {_shown(tag)} must be z3, g2 or g6")
+        raise ValueError(f"descriptor field 'type' = {_shown(tag)} must be z3, g2 or g6"
+                         if "type" in obj else "descriptor field 'type' is missing")
     record, lattice, fields = FIELDS[tag]
     known = {"type", *(field for field, _ in fields)}
     for field in obj:
@@ -716,7 +715,9 @@ def from_json_dict(obj: dict) -> Descriptor:
             raise ValueError(f"{tag} descriptor has no field {_shown(field)}")
     p = {}
     for field, rule in fields:
-        val = p[field] = obj.get(field) if rule == "axis" else _int_field(obj, tag, field)
+        if field not in obj:
+            raise ValueError(f"{tag} descriptor field {field!r} is missing")
+        val = p[field] = obj[field] if rule == "axis" else _int_field(obj[field], tag, field)
         if rule == "axis":
             ok, need = val in AXES, "x, y or z"
         elif rule in p:

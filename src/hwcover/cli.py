@@ -11,12 +11,12 @@ Subcommands::
 
 Every command builds its output as one stream of text pieces, produced as they are
 needed, and writes it through one writer, _emit, which joins the pieces into writes of
-about 16 KiB.  The pieces come from _csv (the header, then each row by one "%s"
-template per header: a row of another length raises TypeError), from _json_list (256
-objects per json.dumps call), from _json_items (a JSON list of formatted items) or, for
-``enumerate`` CSV, from the blocks of ``catalog.iter_blocks`` (one str.join per G2
-plane).  A descriptor's text, CSV cell or JSON item, fills one template per record
-class and indent, read from ``catalog.FIELDS``; json is imported where it runs.
+about 16 KiB.  The pieces come from _csv and _json (each row by one template per
+header; a CSV row of another length raises TypeError), from _json_items (a JSON list of
+formatted items) or, for ``enumerate`` CSV, from the blocks of ``catalog.iter_blocks``
+(one str.join per G2 plane).  A descriptor's text, CSV cell or JSON item, fills one
+template per record class and indent, read from ``catalog.FIELDS``; _object lays out the
+objects of the JSON templates.  Only ``series --format json`` imports json, where it runs.
 Exit codes: 0 success (verify: everything matches), 1 verification
 mismatch, 2 usage or I/O error (on stdout, the --out file or stderr).  Output
 is deterministic byte-for-byte.
@@ -29,8 +29,8 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache
-from itertools import chain, islice, repeat, starmap
-from operator import attrgetter, methodcaller
+from itertools import chain, repeat, starmap
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Iterator, Sequence
 
 from . import catalog, oracle
@@ -114,17 +114,6 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
 _WRITE = 1 << 14
 
 
-def _json_list(objs) -> Iterator[str]:
-    """json.dumps(list(objs), indent=2, sort_keys=True) + a newline, in pieces of 256 objects."""
-    import json
-
-    it = iter(objs)
-    # 256 objects per json.dumps call encode as fast as 1024 and peak at a third of their memory
-    chunks = (json.dumps(items, indent=2, sort_keys=True)[4:-2]  # less "[\n  " and "\n]"
-              for items in iter(lambda: list(islice(it, 256)), []))
-    return chain(_json_items(chunks, 0), ["\n"])
-
-
 def _json_items(texts, indent: int) -> Iterator[str]:
     """The list of item texts, as json.dumps(indent=2) writes it nested indent spaces deep."""
     pad, sep = "\n" + " " * indent, "["
@@ -132,6 +121,26 @@ def _json_items(texts, indent: int) -> Iterator[str]:
         yield sep + pad + "  " + text
         sep = ","
     yield "[]" if sep == "[" else pad + "]"
+
+
+def _object(items: Sequence[str], indent: int) -> str:
+    """The object of the '"key": value' items, as json.dumps(indent=2) nests it indent deep."""
+    pad = "\n  " + " " * indent  # before each item
+    return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+
+
+def _json_cell(v):
+    """The JSON text of a cell: None as null, a bool as true or false, text quoted (no escapes)."""
+    return ("null" if v is None else str(v).lower() if type(v) is bool
+            else f'"{v}"' if type(v) is str else v)
+
+
+def _json(header: Sequence[str], rows, indent: int = 0) -> Iterator[str]:
+    """The rows as a JSON list of objects keyed by the header, each one fill of its template."""
+    order = sorted(range(len(header)), key=header.__getitem__)  # sort_keys=True
+    template = _object([f'"{header[i]}": %s' for i in order], indent + 2)
+    cells = itemgetter(*order)
+    return _json_items((template % tuple(map(_json_cell, cells(row))) for row in rows), indent)
 
 
 @cache
@@ -148,9 +157,8 @@ def _template(record: type, indent: int | None) -> tuple[str, attrgetter]:
         (field, '"%s"' if rule == "axis" else "%d",
          f"lattice.{field}" if field in nested else field) for field, rule in fields)])
     items = [f'"{key}": {value}' for key, value, _ in keys]
-    pad = "\n  " + " " * (indent or 0)  # before each item
     template = ('"{%s}"' % ", ".join(items).replace('"', '""') if indent is None
-                else "{" + pad + ("," + pad).join(items) + pad[:-2] + "}")
+                else _object(items, indent))
     return template, attrgetter(*(path for _, _, path in keys if path))
 
 
@@ -217,7 +225,7 @@ def _emit(path: str | None, pieces) -> None:
 def _table(args, header: Sequence[str], rows) -> int:
     """Write the rows under the header as CSV, or as a JSON list of one object per row."""
     _emit(args.out, _csv(header, rows) if args.format == "csv"
-          else _json_list(dict(zip(header, row)) for row in rows))
+          else chain(_json(header, rows), ["\n"]))
     return 0
 
 
@@ -262,9 +270,9 @@ def _cmd_classes(args) -> int:
     def class_text(rep, size):
         """One item of the list of classes: at most n members, as H lies in its normaliser."""
         members = map(_text, catalog.conjugacy_classes([rep])[0], repeat(8))
-        return (f'{{\n      "members": {"".join(_json_items(members, 6))},\n'
-                f'      "representative": {_text(rep, 6)},\n'
-                f'      "size": {size},\n      "type": "{catalog.iso_of(rep)}"\n    }}')
+        return _object([f'"members": {"".join(_json_items(members, 6))}',
+                        f'"representative": {_text(rep, 6)}', f'"size": {size}',
+                        f'"type": "{catalog.iso_of(rep)}"'], 4)
 
     # class_count sorts before classes, so a first walk counts the classes
     head = f'{{\n  "class_count": {sum(1 for _ in classes)},\n  "classes": '
@@ -312,9 +320,12 @@ def _cmd_verify(args) -> int:
     reports = [oracle.cross_check(n, oracle_limit=min(args.max, args.oracle_limit))
                for n in range(1, args.max + 1)]
     ok = all(r.all_match for r in reports)
-    rows = (row for r in reports for row in oracle.csv_rows(r))
-    _emit(args.out, _csv(oracle.CSV_HEADER.split(","), rows) if args.format == "csv"
-          else _json_list(r.to_json_dict() for r in reports))
+    header = oracle.CSV_HEADER.split(",")
+    template = _object(['"n": %d', '"rows": %s', '"tables_bijective": %s'], 2)
+    items = (template % (r.n, "".join(_json(header, map(oracle.CountRow.cells, r.rows), 4)),
+                         _json_cell(r.tables_bijective)) for r in reports)
+    _emit(args.out, _csv(header, chain.from_iterable(map(oracle.csv_rows, reports)))
+          if args.format == "csv" else chain(_json_items(items, 0), ["\n"]))
     if not ok:
         bad = [(f"n={row.n} type={row.iso}", row.failure)
                for r in reports for row in r.rows if not row.match]

@@ -646,16 +646,7 @@ class CrossCheckReport(NamedTuple):
     def all_match(self) -> bool:
         return all(r.match for r in self.rows) and self.tables_bijective is not False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tables_bijective": self.tables_bijective,
-            "rows": [dict(zip(_FIELDS, r.cells())) for r in self.rows],
-        }
-
-
 CSV_HEADER = "n,type,s_closed,s_catalog,s_oracle,c_closed,c_catalog,c_oracle,match"
-_FIELDS = CSV_HEADER.split(",")
 
 
 def _csv_cell(v):

@@ -513,6 +513,28 @@ def test_descriptor_outside_canonical_ranges_rejected(obj, field):
     assert len(str(exc.value)) < 200, str(exc.value)
 
 
+@pytest.mark.parametrize("obj, field, message, null_message", [
+    ({"k": 1, "l": 1, "m": 1, "u": 0, "v": 0, "w": 0}, "type",
+     "descriptor field 'type' is missing", "descriptor field 'type' = None must be z3, g2 or g6"),
+    ({"type": "g2", "k": 1, "b": 1, "c": 0, "a": 1, "s": 0, "t": 0}, "axis",
+     "g2 descriptor field 'axis' is missing", "g2 descriptor field 'axis' = None must be x, y or z"),
+    ({"type": "z3", "c": 1, "e": 0, "f": 0, "d": 0, "a": 1}, "b",
+     "z3 descriptor field 'b' is missing", "z3 descriptor field 'b' = None must be an integer"),
+], ids=["type", "axis", "b"])
+def test_a_missing_field_is_reported_missing(obj, field, message, null_message):
+    # a field left out of the JSON or given an empty CSV cell is missing; a JSON
+    # null is a value, checked against the field's rule
+    with pytest.raises(ValueError) as exc:
+        from_json_dict(obj)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        descriptor_from_csv_row({key: str(obj.get(key, "")) for key in cli._CSV_FIELDS})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        from_json_dict({**obj, field: None})
+    assert str(exc.value) == null_message
+
+
 @pytest.mark.parametrize("obj, message", [
     # ints of more digits than int() converts to text by default on Python 3.11:
     # a value out of range, and a valid bound in the message of another field

@@ -18,7 +18,8 @@ import hwcover
 from hwcover import catalog
 from hwcover.cli import (_CSV_FIELDS, _csv, _descriptor_csv_row, _emit, _text, build_parser,
                          descriptor_from_csv_row, main)
-from witnesses import csv_text, descriptor_csv, json_classes, json_descriptor_text, json_enumerate
+from witnesses import (csv_text, descriptor_csv, json_classes, json_count, json_descriptor_text,
+                       json_enumerate, json_normal, json_verify)
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +189,40 @@ def test_descriptor_json_is_what_json_dumps_writes(n, iso, capsys):
     assert out == json_classes(n, iso)
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--max", "1"), ("count", "--max", "50"), ("normal", "--max", "1"), ("normal", "--max", "64"),
+    # oracle limit 0 leaves every oracle cell and tables_bijective null
+    ("verify", "--max", "1", "--oracle-limit", "0"), ("verify", "--max", "12", "--oracle-limit", "0"),
+    ("verify", "--max", "12", "--oracle-limit", "12"),
+], ids=" ".join)
+def test_row_json_is_what_json_dumps_writes(argv, capsys):
+    # the witness takes the values of the options in order
+    witness = {"count": json_count, "normal": json_normal, "verify": json_verify}[argv[0]]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == witness(*map(int, argv[2::2]))
+
+
+def test_verify_json_of_a_mismatch_is_what_json_dumps_writes(capsys, monkeypatch):
+    # a wrong letter-product cell makes the table bijections false, and class
+    # counts that raise at n = 2 leave catalog cells null and their rows false
+    from hwcover import group
+    broken = dict(group.LETTER_PRODUCT)
+    broken["x", "y"] = ("z", 0, 0, 1)
+    monkeypatch.setattr(group, "LETTER_PRODUCT", broken)
+
+    def class_count(iso, n, real=catalog.class_count):
+        if n == 2:
+            raise RuntimeError("boom")
+        return real(iso, n)
+    monkeypatch.setattr(catalog, "class_count", class_count)
+    code, out, _ = run_cli(capsys, "verify", "--max", "6", "--oracle-limit", "6", "--format", "json")
+    assert code == 1
+    assert '"match": false' in out and '"tables_bijective": false' in out
+    assert '"c_catalog": null' in out
+    assert out == json_verify(6, 6)
+
+
 # SHA-256 of stdout per command line; --out must write the same bytes.
 _PINNED = {
     ("classes", "--index", "104"):
@@ -313,6 +348,8 @@ class _HashSink:
     # 5,103 rows in 21 G6 boxes of 243 rows each (k l m = n).
     (["enumerate", "--index", "243"], 2),
     # Building the rows and the whole text first peaks at 10.9, 7.8 and 8.2 MB.
+    # Each JSON row is one fill of its header's template: count and normal peak
+    # at 0.69 and 0.34 MB.
     (["count", "--max", "5000", "--format", "json"], 3),
     (["normal", "--max", "2000", "--format", "json"], 2),
     (["series", "--max", "5000", "--out", "PATH"], 4),
@@ -380,7 +417,7 @@ class _WriteSink:
 @pytest.mark.parametrize("argv", [
     ["normal", "--max", "20000"],  # 60,001 lines of one row each
     ["enumerate", "--index", "945"],  # G6 boxes of 945 lines each
-    ["count", "--max", "20000", "--format", "json"],  # 256 objects per piece
+    ["count", "--max", "20000", "--format", "json"],  # one object per piece
     ["enumerate", "--index", "256", "--format", "json"],  # one descriptor per piece
     ["classes", "--index", "64", "--format", "json"],  # one class with its members per piece
 ], ids=["normal", "enumerate-g6-boxes", "count-json", "enumerate-json", "classes-json"])
@@ -687,23 +724,22 @@ def _json_left_unloaded(argv) -> bool:
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout == "0 True\n"
+    return proc.stdout.splitlines()[-1] == "0 True"  # after series' report, which --out leaves on stdout
 
 
-@pytest.mark.parametrize("argv", [("verify", "--max", "4"), ("classes", "--index", "16")],
-                         ids=["verify", "classes"])
-def test_csv_commands_do_not_import_json(argv):
-    # the JSON paths of count, normal, series and verify import json where they
-    # run; a CSV command leaves it unloaded unless the interpreter's own start-up loaded it
-    assert _json_left_unloaded(argv)
-
-
-@pytest.mark.parametrize("argv", [("enumerate", "--index", "16", "--format", "json"),
-                                  ("classes", "--index", "16", "--format", "json")],
-                         ids=["enumerate", "classes"])
-def test_descriptor_json_does_not_import_json(argv):
-    # every descriptor text fills the template of its record class, so the
-    # JSON of enumerate and classes never reaches the json encoder
+@pytest.mark.parametrize("argv", [
+    (*command, "--format", fmt)
+    for command in [("count", "--max", "4"), ("enumerate", "--index", "16"), ("classes", "--index", "16"),
+                    ("normal", "--max", "4"), ("series", "--max", "4"), ("verify", "--max", "4")]
+    for fmt in ("csv", "json")
+    # series writes its one small report by json.dumps: an optional "note" key is
+    # more than a template of one header can hold
+    if command[0] != "series" or fmt == "csv"
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_no_command_imports_json(argv):
+    # every row, report and descriptor fills a template, so no command but series
+    # --format json reaches the json encoder; a command leaves json unloaded unless
+    # the interpreter's own start-up loaded it
     assert _json_left_unloaded(argv)
 
 

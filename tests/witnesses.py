@@ -19,7 +19,10 @@ basepoints in it.
 the CLI prints: the ``classes`` CSV representative, quoted, and the items of
 the ``enumerate`` and ``classes`` JSON, where the commands fill one template
 per record class and indent, built from ``catalog.FIELDS``.  ``json_enumerate``
-and ``json_classes`` write those whole JSON documents by one ``json.dumps``.
+and ``json_classes`` write those whole JSON documents by one ``json.dumps``;
+``json_count``, ``json_normal`` and ``json_verify`` write the row documents of
+``count``, ``normal`` and ``verify`` by one ``json.dumps`` of dicts built key by
+key, where the commands fill one template per header with the text of each cell.
 ``csv_text`` writes rows through ``csv.writer``, where the CLI formats each
 line from one template per header and quotes the one cell that needs it
 itself; ``descriptor_csv`` writes the ``enumerate`` CSV by it over the
@@ -278,3 +281,37 @@ def json_classes(n: int, iso: str | None = None) -> str:
               "members": [catalog.to_json_dict(d) for d in c]} for c in classes]
     return json.dumps({"class_count": len(classes), "index": n, "classes": items},
                       indent=2, sort_keys=True) + "\n"
+
+
+def json_count(max_n: int) -> str:
+    """The output of count --format json, by one json.dumps, each n from the one-n closed forms."""
+    objs = []
+    for n in range(1, max_n + 1):
+        obj = {"n": n}
+        for kind, count in (("s", catalog.count_s), ("c", catalog.count_c)):
+            cells = {f"{kind}_{iso}": count(iso, n) for iso in catalog.ISO_TYPES}
+            obj |= cells | {f"{kind}_total": sum(cells.values())}
+        objs.append(obj)
+    return json.dumps(objs, indent=2, sort_keys=True) + "\n"
+
+
+def json_normal(max_n: int) -> str:
+    """The output of normal --format json, by one json.dumps, each n from the one-n closed forms."""
+    objs = []
+    for n in range(1, max_n + 1):
+        for iso, normal in zip(catalog.ISO_TYPES, catalog.normal_counts(n)):
+            objs.append({"n": n, "type": iso, "s": catalog.count_s(iso, n),
+                         "c": catalog.count_c(iso, n), "normal": normal})
+    return json.dumps(objs, indent=2, sort_keys=True) + "\n"
+
+
+def json_verify(max_n: int, oracle_limit: int) -> str:
+    """The output of verify --format json, by one json.dumps of each report's fields by name."""
+    objs = []
+    for n in range(1, max_n + 1):
+        report = oracle.cross_check(n, oracle_limit=oracle_limit)
+        rows = [{"n": r.n, "type": r.iso, "s_closed": r.s_closed, "s_catalog": r.s_catalog,
+                 "s_oracle": r.s_oracle, "c_closed": r.c_closed, "c_catalog": r.c_catalog,
+                 "c_oracle": r.c_oracle, "match": r.match} for r in report.rows]
+        objs.append({"n": n, "rows": rows, "tables_bijective": report.tables_bijective})
+    return json.dumps(objs, indent=2, sort_keys=True) + "\n"
