@@ -21,9 +21,10 @@ Lambda is normal of index 4, so every one of these subgroups H is R T, with
 T = H meet Lambda and R one element of H per letter of H.  ``cosets`` reads
 (T, R) off a descriptor, and it is the only description of H per type.  Its
 readers have no branch per type: ``generators`` (the columns of T past the
-squares of R, then R), ``coset_key`` (the O(1) label of a coset gH, which the
-oracle's bridge uses), ``contains`` (g has the label of H) and ``index_of``
-(4 [Lambda : T] / |R|).
+squares of R, then R), ``abc_cosets`` (T over the half-exponents (a, b, c) in
+Hermite normal form, and R: the oracle's subgroup key), ``coset_labels`` (the
+O(1) label of a coset gH, which the oracle's bridge uses, and the index 4
+[Lambda : T] / |R|), ``contains`` (g has the label of H) and ``index_of``.
 
 Each type's parametrisation is one block walk, ``iter_blocks``: in
 canonical order, the parameters fixed within a block and the cells that
@@ -71,7 +72,7 @@ from __future__ import annotations
 import reprlib
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product, starmap
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -80,7 +81,7 @@ from . import arith
 from .arith import (D3, D3_ALTERNATING, DELTA, OMEGA, ONE, SIGMA0, SIGMA2, divisors,
                     form_value)
 from .group import E, GEN_X, GEN_Y, GEN_Z, IDENTITY, LETTER_TIMES, LETTERS, SIGNS, Element
-from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, transform2, transform3
+from .lattice import Hnf2, Hnf3, hnf2_all, hnf2_of, hnf3_of, transform2, transform3
 
 ISO_TYPES = ("g1", "g2", "g6")
 AXES = ("x", "y", "z")
@@ -346,6 +347,21 @@ def generators(d: Descriptor) -> tuple[Element, Element, Element]:
             *reps[1:])
 
 
+@lru_cache(maxsize=128)
+def _abc_lattice(lattice: Hnf3, pos: tuple[int, int, int]) -> Hnf3:
+    """The lattice with coordinates in the order pos, over (a, b, c) in Hermite normal form."""
+    return hnf3_of(_from_pos(pos, col) for col in lattice.columns())
+
+
+def abc_cosets(d: Descriptor) -> tuple[Hnf3, tuple[Element, ...]]:
+    """T over the half-exponents (a, b, c) in Hermite normal form, and R, from cosets(d).
+
+    A G2 T is reordered once per plane, as the descriptors of one plane come in a row.
+    """
+    lattice, pos, reps = cosets(d)
+    return (lattice if pos == (0, 1, 2) else _abc_lattice(lattice, pos)), reps
+
+
 # The letters of R, in R's order, are a subgroup of the Klein group: {e}, {e, axis}
 # or all four.  For each, and each letter of g: the position in R of the r that
 # gives g r the least letter.  The letters of g r over r in R are distinct, so
@@ -356,8 +372,12 @@ _LEAST_REP = {letters: {lt: min(range(len(letters)), key=lambda i: LETTER_TIMES[
 _LETTER = attrgetter("letter")
 
 
-def _coset_labels(d: Descriptor) -> tuple[Callable[[Element], tuple], int]:
-    """coset_key(d) and index_of(d), read from one coset structure."""
+def coset_labels(d: Descriptor) -> tuple[Callable[[Element], tuple], int]:
+    """The O(1) label of the left coset gH of the descriptor's subgroup H = R T, and [HW : H].
+
+    gH is the union of the translation cosets (g r) T over r in R; the one
+    with the least letter, its translation reduced mod T, names gH.
+    """
     lattice, pos, reps = cosets(d)
     least = _LEAST_REP[tuple(map(_LETTER, reps))]
     i0, i1, i2 = pos[0] + 1, pos[1] + 1, pos[2] + 1  # the Element fields are (letter, a, b, c)
@@ -371,23 +391,14 @@ def _coset_labels(d: Descriptor) -> tuple[Callable[[Element], tuple], int]:
     return key, 4 * lattice.index // len(reps)
 
 
-def coset_key(d: Descriptor) -> Callable[[Element], tuple]:
-    """Label of the left coset gH of the descriptor's subgroup H = R T, in O(1).
-
-    gH is the union of the translation cosets (g r) T over r in R; the one
-    with the least letter, its translation reduced mod T, names gH.
-    """
-    return _coset_labels(d)[0]
-
-
 def contains(d: Descriptor, g: Element) -> bool:
     """Exact membership: g is in H exactly when gH = H, whose label is (E, 0, 0, 0)."""
-    return coset_key(d)(g) == (E, 0, 0, 0)
+    return coset_labels(d)[0](g) == (E, 0, 0, 0)
 
 
 def index_of(d: Descriptor) -> int:
-    """[HW : H], the number of cosets that coset_key labels."""
-    return _coset_labels(d)[1]
+    """[HW : H], the number of cosets that coset_labels labels."""
+    return coset_labels(d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +698,14 @@ class _Shown(reprlib.Repr):
         return super().repr1(x, level)
 
 
-_shown = _Shown().repr
+shown = _Shown().repr  # also the cli's, for the name of a CSV column
 
 
 def _int_field(val, tag: str, field: str) -> int:
     """An integer field: a JSON int (not a bool) or is_int_text text, as in a CSV cell."""
     if type(val) is int or (isinstance(val, str) and is_int_text(val)):
         return int(val)
-    raise ValueError(f"{tag} descriptor field {field!r} = {_shown(val)} must be an integer")
+    raise ValueError(f"{tag} descriptor field {field!r} = {shown(val)} must be an integer")
 
 
 def from_json_dict(obj: dict) -> Descriptor:
@@ -706,13 +717,13 @@ def from_json_dict(obj: dict) -> Descriptor:
         raise ValueError(f"a descriptor must be an object of fields, not {type(obj).__name__}")
     tag = obj.get("type")
     if not isinstance(tag, str) or tag not in FIELDS:
-        raise ValueError(f"descriptor field 'type' = {_shown(tag)} must be z3, g2 or g6"
+        raise ValueError(f"descriptor field 'type' = {shown(tag)} must be z3, g2 or g6"
                          if "type" in obj else "descriptor field 'type' is missing")
     record, lattice, fields = FIELDS[tag]
     known = {"type", *(field for field, _ in fields)}
     for field in obj:
         if field not in known:
-            raise ValueError(f"{tag} descriptor has no field {_shown(field)}")
+            raise ValueError(f"{tag} descriptor has no field {shown(field)}")
     p = {}
     for field, rule in fields:
         if field not in obj:
@@ -721,12 +732,12 @@ def from_json_dict(obj: dict) -> Descriptor:
         if rule == "axis":
             ok, need = val in AXES, "x, y or z"
         elif rule in p:
-            ok, need = 0 <= val < p[rule], f"in [0, {rule}) = [0, {_shown(p[rule])})"
+            ok, need = 0 <= val < p[rule], f"in [0, {rule}) = [0, {shown(p[rule])})"
         else:
             ok = val >= 1 and (rule == "pos" or val % 2 == 1)
             need = ">= 1" if rule == "pos" else "odd and >= 1"
         if not ok:
-            raise ValueError(f"{tag} descriptor field {field!r} = {_shown(val)} must be {need}")
+            raise ValueError(f"{tag} descriptor field {field!r} = {shown(val)} must be {need}")
     if lattice is not None:
         p["lattice"] = lattice(**{field: p.pop(field) for field in lattice._fields})
     return record(**p)

@@ -104,7 +104,7 @@ def descriptor_from_csv_row(row: dict) -> catalog.Descriptor:
         raise ValueError(f"CSV row has {len(row[None])} cells more than the header")
     missing = next((key for key, val in row.items() if val is None), None)
     if missing is not None:
-        raise ValueError(f"CSV row has no cell for column {catalog._shown(missing)}")
+        raise ValueError(f"CSV row has no cell for column {catalog.shown(missing)}")
     return catalog.from_json_dict({key: val for key, val in row.items() if val != ""})
 
 
@@ -317,25 +317,31 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     # Every n is at most max, so searching deeper than max cannot fill a cell.
-    reports = [oracle.cross_check(n, oracle_limit=min(args.max, args.oracle_limit))
-               for n in range(1, args.max + 1)]
-    ok = all(r.all_match for r in reports)
+    limit = min(args.max, args.oracle_limit)
+    bad_rows, bad_tables = [], []  # (where, why) of each failure, for the summary
+
+    def checked():
+        """The report of each n as it is made, noting its failures."""
+        for n in range(1, args.max + 1):
+            r = oracle.cross_check(n, oracle_limit=limit)
+            bad_rows.extend((f"n={n} type={row.iso}", row.failure)
+                            for row in r.rows if not row.match)
+            if r.tables_bijective is False:
+                bad_tables.append((f"n={n} tables_bijective=false", r.failure))
+            yield r
+
+    reports = checked()
     header = oracle.CSV_HEADER.split(",")
     template = _object(['"n": %d', '"rows": %s', '"tables_bijective": %s'], 2)
     items = (template % (r.n, "".join(_json(header, map(oracle.CountRow.cells, r.rows), 4)),
                          _json_cell(r.tables_bijective)) for r in reports)
     _emit(args.out, _csv(header, chain.from_iterable(map(oracle.csv_rows, reports)))
           if args.format == "csv" else chain(_json_items(items, 0), ["\n"]))
-    if not ok:
-        bad = [(f"n={row.n} type={row.iso}", row.failure)
-               for r in reports for row in r.rows if not row.match]
-        bad += [(f"n={r.n} tables_bijective=false", r.failure)
-                for r in reports if r.tables_bijective is False]
+    if bad_rows or bad_tables:
         _report("verify: MISMATCH at " + "; ".join(
-            where + (f" ({why})" if why else "") for where, why in bad))
+            where + (f" ({why})" if why else "") for where, why in bad_rows + bad_tables))
         return 1
-    _report(f"verify: all cells match for n <= {args.max} "
-            f"(oracle columns for n <= {min(args.max, args.oracle_limit)})")
+    _report(f"verify: all cells match for n <= {args.max} (oracle columns for n <= {limit})")
     return 0
 
 

@@ -13,8 +13,8 @@ in 2d; the omega(n) in 3d are hnf2_all(n / c) as the lower block (b, d, a)
 under each (c, e, f), which catalog walks as the Z^3-type subgroups.  Tests
 pin both counts against brute-force enumeration.  hnf2_of and hnf3_of bring
 any spanning set to its form: the G2 class walk reads K = <H, (2,0), (0,2)>
-from hnf2_of, and the oracle reads the subgroup keys of its tables from
-hnf3_of.
+from hnf2_of, and the subgroup keys, of the oracle's tables and of G2
+descriptors over (a, b, c), are read from hnf3_of.
 """
 
 from __future__ import annotations

@@ -38,22 +38,24 @@ letter of H.  Its key is T in Hermite normal form over the half-exponents
 (a, b, c), then (letter, translation mod T) for each non-identity letter of
 H, in letter order; ``_subgroup_key`` builds it for both sides.
 ``_member_keys`` reads the keys of all member basepoints of a table in one
-pass, per square orbit: the walk of an orbit under x^2, y^2, z^2 gives each
-point p of it a half-exponent vector v(p), and each edge outside its
-spanning tree a Schreier generator of T, one ``hnf3_of`` per orbit.  Every
-point of the orbit has that T, as Lambda is abelian, and a base b in it
-takes the vectors shifted by v(b): a letter whose image of b lies in the
-orbit belongs to H with translation v(b) - v of that image.  ``table_key``
+pass, with one walk and one ``hnf3_of`` per table: the walk of one square
+orbit under x^2, y^2, z^2 gives each point p of it a half-exponent vector
+v(p), and each edge outside its spanning tree a Schreier generator of T.
+Each letter l maps that orbit onto another, with the vectors and T flipped
+by its signs s_l, and these images are all the orbits.  Every point of an
+orbit has its T, as Lambda is abelian, and a base b in it takes the vectors
+shifted by v(b): a letter whose image of b lies in the orbit belongs to H
+with translation v(b) - v of that image.  ``table_key``
 is the same reader at one base.  ``descriptor_key`` reads the key from
-``catalog.cosets``, and puts a G2 plane's T back into (a, b, c) once per
-plane.  The key's number of letters is the stabilizer's type.
+``catalog.abc_cosets``, which gives T over (a, b, c) for every type.  The
+key's number of letters is the stabilizer's type.
 Both keys speak normal forms, so the cross-check also checks that the
 normal-form arithmetic kills every word of ``group.RELATOR_WORDS``.
 
 ``descriptor_to_table`` is the bridge the other way, and the witness that
 ties the two readers together: it builds a descriptor's table by coset
 enumeration over the exact group arithmetic, labelling each coset in O(1)
-with ``catalog.coset_key`` (the translation coset (g r) T with the least
+with ``catalog.coset_labels`` (the translation coset (g r) T with the least
 letter, reduced mod T, names gH; the right coset Hg is labeled by g^-1 H),
 and reading that table back gives the descriptor's own key.
 
@@ -72,9 +74,9 @@ from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import catalog
-from .group import IDENTITY, RELATOR_WORDS, TOKEN_ELEMENT, Element, eval_word, parse_word
+from .group import IDENTITY, RELATOR_WORDS, SIGNS, TOKEN_ELEMENT, Element, eval_word, parse_word
 from .catalog import Descriptor
-from .lattice import Hnf3, hnf3_of
+from .lattice import Hnf3, hnf3_of, transform3
 
 # Generator columns x, x^-1, y, y^-1, z, z^-1, one per word token, for every
 # table of the module, searched or relabeled; column g's inverse is g ^ 1.
@@ -166,14 +168,14 @@ def _inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
 
 def _reach(start: int, perms: Sequence[Sequence[int]]) -> dict[int, int]:
     """Breadth-first numbers, in order, of the points reachable from start under perms."""
-    pos = {start: 0}
+    number = {start: 0}
     order = [start]
     for c in order:  # order grows while it is scanned
         for p in perms:
-            if p[c] not in pos:
-                pos[p[c]] = len(order)
+            if p[c] not in number:
+                number[p[c]] = len(order)
                 order.append(p[c])
-    return pos
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +300,14 @@ def _search(max_index: int) -> list[_Rep]:
     def resume(table: list[list[int | None]], cursor: list) -> int:
         """Compare b's relabeling with the table from the cursor on.
 
-        A cursor is [b, row, column, order, pos]: the breadth-first order of
-        the cosets from b, so far, and each one's number in it (pos is a list
+        A cursor is [b, row, column, order, number]: the breadth-first order of
+        the cosets from b, so far, and each one's number in it (number is a list
         of length max_index, -1 where a coset is not numbered yet).  Returns
         -1 if the relabeling is less, 1 if it is greater, else 0 with the
         cursor left at the first undefined entry, or past the last row once
         the table is complete.
         """
-        _, k, g, order, pos = cursor
+        _, k, g, order, number = cursor
         m = len(order)
         while k < m:
             row, own = table[order[k]], table[k]
@@ -314,9 +316,9 @@ def _search(max_index: int) -> list[_Rep]:
                 if d is None or e is None:
                     cursor[1], cursor[2] = k, g
                     return 0
-                q = pos[d]
+                q = number[d]
                 if q < 0:
-                    q = pos[d] = m
+                    q = number[d] = m
                     m += 1
                     order.append(d)
                 if q != e:
@@ -329,9 +331,9 @@ def _search(max_index: int) -> list[_Rep]:
     def step(table: list[list[int | None]], d: int, n: int,
              live: list[list]) -> Iterator[list[list]]:
         if d == n:
-            pos = [-1] * max_index
-            pos[n] = 0
-            cursors = live + [[n, 0, 0, [n], pos]]
+            number = [-1] * max_index
+            number[n] = 0
+            cursors = live + [[n, 0, 0, [n], number]]
         else:
             cursors = live
         moved = []  # each cursor that resumes, with the state to restore
@@ -351,9 +353,9 @@ def _search(max_index: int) -> list[_Rep]:
             yield kept
         for cursor, k, h, m in moved:
             cursor[1], cursor[2] = k, h
-            order, pos = cursor[3], cursor[4]
+            order, number = cursor[3], cursor[4]
             for p in order[m:]:
-                pos[p] = -1
+                number[p] = -1
             del order[m:]
 
     return [(images, (0, *(cursor[0] for cursor in live)))
@@ -452,22 +454,34 @@ def _member_keys(t: _Images, bases: Iterable[int]) -> list[tuple]:
     """Subgroup keys of the stabilizers H of the bases, read off the table, in order.
 
     The square orbit of a base b is the set of cosets H lambda.  Every point
-    of it has the same T, as Lambda is abelian, so each orbit that holds a
-    base is walked once, from the first base met in it, and b takes the
-    walk's vectors shifted by v(b): b lambda_(v(p) - v(b)) = p.  A letter l
-    with b l = q in the orbit puts l lambda_(v(b) - v(q)) in H.
+    of it has the same T, as Lambda is abelian, and b takes the orbit's
+    vectors shifted by v(b): b lambda_(v(p) - v(b)) = p.  A letter l with
+    b l = q in the orbit puts l lambda_(v(b) - v(q)) in H.  Only the orbit of
+    the first base is walked.  As lambda l = l s_l(lambda), a letter l maps
+    it onto the orbit of its points p l, with the vectors s_l(v(p)) and the
+    lattice s_l(T); the action is transitive, so these images are all the
+    orbits, and as l^2 is in Lambda, a base b lies in the image under an l
+    with b l in the walked orbit.
     """
     x, y, z = t.x, t.y, t.z
+    letters = (("x", x), ("y", y), ("z", z))
     walks: list[tuple[dict[int, tuple[int, int, int]], Hnf3]] = []
     keys = []
     for base in bases:
         walk = next((w for w in walks if base in w[0]), None)
         if walk is None:
-            walk = _square_walk(t, base)
+            if walks:
+                vec, lattice = walks[0]
+                letter, perm = next((l, perm) for l, perm in letters if perm[base] in vec)
+                sa, sb, sc = signs = SIGNS[letter]
+                walk = ({perm[p]: (sa * a, sb * b, sc * c) for p, (a, b, c) in vec.items()},
+                        transform3(lattice, signs))
+            else:
+                walk = _square_walk(t, base)
             walks.append(walk)
         vec, lattice = walk
         a, b, c = vec[base]
-        images = ((letter, vec.get(perm[base])) for letter, perm in (("x", x), ("y", y), ("z", z)))
+        images = ((letter, vec.get(perm[base])) for letter, perm in letters)
         keys.append(_subgroup_key(lattice, (
             (letter, (a - v[0], b - v[1], c - v[2])) for letter, v in images if v is not None)))
     return keys
@@ -478,22 +492,9 @@ def table_key(t: CosetTable, base: int = 0) -> tuple:
     return _member_keys(t, (base,))[0]
 
 
-@lru_cache(maxsize=128)
-def _abc_lattice(lattice: Hnf3, pos: tuple[int, int, int]) -> Hnf3:
-    """The lattice with coordinates in the order pos, over (a, b, c) in Hermite normal form."""
-    return hnf3_of(catalog._from_pos(pos, col) for col in lattice.columns())
-
-
 def descriptor_key(d: Descriptor) -> tuple:
-    """Subgroup key of the descriptor, read from catalog.cosets(d).
-
-    T comes in the coordinate order pos; for G2 its columns are mapped back
-    to (a, b, c) and put into Hermite normal form again, once per plane, as
-    the descriptors of one plane come one after another.
-    """
-    lattice, pos, reps = catalog.cosets(d)
-    if pos != (0, 1, 2):
-        lattice = _abc_lattice(lattice, pos)
+    """Subgroup key of the descriptor, read from catalog.abc_cosets(d)."""
+    lattice, reps = catalog.abc_cosets(d)
     return _subgroup_key(lattice, ((r.letter, (r.a, r.b, r.c)) for r in reps[1:]))
 
 
@@ -515,8 +516,8 @@ def _relabelings(t: CosetTable, bases: Iterable[int]) -> Iterator[tuple[int, ...
     """
     perms = t.perms()
     for base in bases:
-        pos = _reach(base, perms)
-        yield tuple(pos[p[c]] for p in perms[::2] for c in pos)
+        number = _reach(base, perms)
+        yield tuple(number[p[c]] for p in perms[::2] for c in number)
 
 
 def canonical_table(t: CosetTable, base: int = 0) -> CosetTable:
@@ -569,7 +570,7 @@ def descriptor_to_table(d: Descriptor) -> CosetTable:
     does not give a valid table (a diagnostic for inconsistent parameters,
     e.g. under fault injection).
     """
-    key, expected = catalog._coset_labels(d)
+    key, expected = catalog.coset_labels(d)
     inverses: list[Element] = [IDENTITY]  # g^-1 of each coset Hg, in BFS order
     labels = {key(IDENTITY): 0}
     images: tuple[list[int], ...] = ([], [], [])

@@ -497,6 +497,23 @@ def test_verify_searches_no_deeper_than_max(capsys, monkeypatch):
     assert set(depths) == {6}  # one search, to depth 6
 
 
+@pytest.mark.parametrize("fmt, first_report", [("csv", "1,g1,"), ("json", '"n": 1,')])
+def test_verify_writes_each_report_before_checking_the_next(fmt, first_report, capsys,
+                                                            monkeypatch):
+    # the reports stream: memory does not hold every report of --max at once
+    from hwcover import cli, oracle
+    events = []
+    check = oracle.cross_check
+    monkeypatch.setattr(oracle, "cross_check",
+                        lambda n, **kwargs: events.append(("check", n)) or check(n, **kwargs))
+    monkeypatch.setattr(cli, "_emit", lambda path, pieces: events.extend(
+        ("write", piece) for piece in pieces))
+    assert main(["verify", "--max", "6", "--oracle-limit", "6", "--format", fmt]) == 0
+    written = next(i for i, (kind, text) in enumerate(events)
+                   if kind == "write" and first_report in str(text))
+    assert events.index(("check", 1)) < written < events.index(("check", 6)), events[:written + 1]
+
+
 def test_exit_code_2_on_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing --index

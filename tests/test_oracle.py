@@ -132,7 +132,7 @@ def test_pruned_search_keeps_one_table_per_class_of_the_unpruned_search():
 
 def check_member_keys_against_the_walk(limit):
     """At every basepoint of every searched table on at most limit cosets, the
-    key read once per square orbit equals the key of a walk from that basepoint."""
+    key read from the table's one walk equals the key of a walk from that basepoint."""
     for reps in oracle._tables_up_to(limit).values():
         for t, _ in reps:
             bases = range(t.degree)
@@ -141,6 +141,18 @@ def check_member_keys_against_the_walk(limit):
 
 def test_member_keys_match_the_walk_from_each_basepoint():
     check_member_keys_against_the_walk(24)
+
+
+def test_member_keys_put_one_lattice_in_hermite_normal_form_per_table(monkeypatch):
+    # the other square orbits are images of the walked one under the letters
+    calls = []
+    hnf3_of = oracle.hnf3_of
+    monkeypatch.setattr(oracle, "hnf3_of", lambda gens: calls.append(1) or hnf3_of(gens))
+    for reps in oracle._tables_up_to(16).values():
+        for t, _ in reps:
+            calls.clear()
+            oracle._member_keys(t, range(t.degree))
+            assert len(calls) == 1, t
 
 
 def test_a_step_that_prunes_new_cosets_from_6_on_leaves_the_search_to_6():
@@ -356,12 +368,12 @@ def test_enumeration_error_on_inconsistent_descriptor():
                                             (-1, "more than 3 cosets found")])
 def test_enumeration_error_when_the_stated_index_is_wrong(monkeypatch, shift, message):
     d = catalog.enumerate_g2(4)[0]
-    real = catalog._coset_labels
+    real = catalog.coset_labels
 
     def misstated(d):
         key, index = real(d)
         return key, index + shift
-    monkeypatch.setattr(catalog, "_coset_labels", misstated)
+    monkeypatch.setattr(catalog, "coset_labels", misstated)
     with pytest.raises(EnumerationError, match=message):
         descriptor_to_table(d)
 
