@@ -85,11 +85,6 @@ def _g6_text(n: int) -> Iterator[str]:
 _TEXT = {"g1": _z3_text, "g2": _g2_text, "g6": _g6_text}
 
 
-def _csv_lines(n: int, isos: Sequence[str]) -> Iterator[str]:
-    """The CSV text of the index-n descriptors of the given types, in pieces of whole lines."""
-    return chain.from_iterable(_TEXT[iso](n) for iso in isos)
-
-
 def _descriptor_csv_row(d: catalog.Descriptor) -> dict:
     """The cells of d under _CSV_FIELDS, as text; a field the type does not have is empty."""
     obj = catalog.to_json_dict(d)
@@ -250,7 +245,8 @@ def _cmd_enumerate(args) -> int:
             yield item
 
     if args.format == "csv":
-        blocks = counted(_csv_lines(args.index, isos), methodcaller("count", "\n"))
+        blocks = counted(chain.from_iterable(_TEXT[iso](args.index) for iso in isos),
+                         methodcaller("count", "\n"))
         _emit(args.out, chain([",".join(_CSV_FIELDS) + "\n"], blocks))
     else:
         ds = chain.from_iterable(catalog.iter_iso(iso, args.index) for iso in isos)
@@ -373,6 +369,18 @@ def _oracle_limit(text: str) -> int:
     return val
 
 
+def _one_of(*choices: str) -> dict:
+    """Options of an argument that takes one of choices, quoted in its message on every Python."""
+
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+        return text
+
+    return dict(type=choice, metavar="{" + ",".join(choices) + "}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hwcover",
@@ -380,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hantzsche-Wendt manifold.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    types = {"--type": dict(choices=catalog.ISO_TYPES)}
+    types = {"--type": _one_of(*catalog.ISO_TYPES)}
     limit = {"--oracle-limit": dict(
         type=_oracle_limit, default=oracle.DEFAULT_ORACLE_LIMIT, metavar="K",
         help=f"fill the oracle columns for n <= K (default "
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(size, type=_positive, required=True)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", default="csv", **_one_of("csv", "json"))
         p.add_argument("--out", metavar="PATH")
         p.set_defaults(func=func)
     return parser

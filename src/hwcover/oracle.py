@@ -21,15 +21,14 @@ witness differ only by their steps.
 Conjugacy classes are found during the search, not relabeled afterwards.
 Two stabilizers are conjugate exactly when their tables agree after
 forgetting the basepoint, and the n basepoint relabelings of one table are
-the base-0 forms of its class members.  The search keeps a table only if no
-relabeling from another coset is less in row-major (coset, column) order,
-and prunes every partial table that such a relabeling already beats, so it
-keeps one table per class.  With it comes its Fix set, the cosets whose
-stabilizer is the basepoint's: the blocks Fix g are the class members, so
-``low_index`` expands a class into its subgroups and ``cross_check`` reads
-one key per block.  Kept tables are plain tuples; only tables handed out of
-the module are validated.  ``classes_of`` groups tables given from outside
-by the least of their relabelings.
+the base-0 forms of its class members.  The search keeps the least of them
+in row-major (coset, column) order, pruning every partial table that a
+relabeling from another coset already beats, and ``classes_of`` keys the
+classes of tables given from outside by the same least member.  With a kept
+table comes its Fix set, the cosets whose stabilizer is the basepoint's: the
+blocks Fix g are the class members, so ``low_index`` expands a class into
+its subgroups and ``cross_check`` reads one key per block.  Kept tables are
+plain tuples; only tables handed out of the module are validated.
 
 The cross-check compares the subgroups of both sides by key, and reads no
 coset table off a descriptor.  The subgroup H meets the translations Lambda
@@ -115,11 +114,8 @@ class _Images(NamedTuple):
 
     def perms(self) -> tuple[tuple[int, ...], ...]:
         """Images per column (x, x^-1, y, y^-1, z, z^-1)."""
-        return (
-            self.x, _inverse_perm(self.x),
-            self.y, _inverse_perm(self.y),
-            self.z, _inverse_perm(self.z),
-        )
+        x, y, z = self
+        return x, _inverse_perm(x), y, _inverse_perm(y), z, _inverse_perm(z)
 
 
 class CosetTable(_Images):
@@ -155,7 +151,7 @@ class CosetTable(_Images):
                     p = perms[g][p]
                 if p != c:
                     raise ValueError(f"relator {rel} acts nontrivially at coset {c}")
-        if len(_reach(0, (self.x, self.y, self.z))) != n:
+        if _relabeled(list(zip(*perms)), 0).degree != n:
             raise ValueError("action is not transitive")
 
 
@@ -166,16 +162,20 @@ def _inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _reach(start: int, perms: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Breadth-first numbers, in order, of the points reachable from start under perms."""
-    number = {start: 0}
-    order = [start]
+def _relabeled(rows: Sequence[Sequence[int]], base: int) -> _Images:
+    """The orbit of base relabeled breadth-first from base, rows[p] holding p's images per
+    column: each point, in the order numbered, is read over the columns in their order, as
+    the search reads its rows, and a point met first takes the next number.  Not validated.
+    """
+    number = [-1] * len(rows)
+    number[base] = 0
+    order = [base]
     for c in order:  # order grows while it is scanned
-        for p in perms:
-            if p[c] not in number:
-                number[p[c]] = len(order)
-                order.append(p[c])
-    return number
+        for d in rows[c]:
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    return _Images(*(tuple([number[rows[c][g]] for c in order]) for g in (0, 2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,44 +508,35 @@ def stabilizer_type(t: CosetTable) -> str:
     return _key_type(table_key(t))
 
 
-def _relabelings(t: CosetTable, bases: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Canonical form x + y + z of t relabeled breadth-first from each base.
-
-    The walk takes the columns in their order, as the search does; a form
-    depends only on the abstract action and the chosen basepoint.
-    """
-    perms = t.perms()
-    for base in bases:
-        number = _reach(base, perms)
-        yield tuple(number[p[c]] for p in perms[::2] for c in number)
-
-
 def canonical_table(t: CosetTable, base: int = 0) -> CosetTable:
     """Relabel cosets by breadth-first order from base, one of the cosets 0 .. degree - 1."""
     if base not in range(t.degree):
         raise ValueError(f"base {base!r} is not a coset of a table of degree {t.degree}")
-    form, n = next(_relabelings(t, (base,))), t.degree
-    return CosetTable(form[:n], form[n:2 * n], form[2 * n:])
+    return CosetTable(*_relabeled(list(zip(*t.perms())), base))
 
 
 def classes_of(tables: Iterable[CosetTable]) -> list[list[CosetTable]]:
     """Group tables of one degree into conjugacy classes of stabilizers.
 
-    A class is keyed by its least relabeling, found from every basepoint of
-    the first table met of it; later ones are looked up by their base-0 form.
+    A class is keyed by its least member in row-major order, the table the search keeps
+    for it, and the classes come in that order.  The relabelings of the first table met
+    of a class from every basepoint are the base-0 forms of its members.
     """
     tables = list(tables)
     degrees = {t.degree for t in tables}
     if len(degrees) > 1:
         raise ValueError(f"tables of mixed degree: {sorted(degrees)}")
-    key_of: dict[tuple, tuple] = {}
-    buckets: dict[tuple, list[CosetTable]] = {}
+    key_of: dict[_Images, tuple[int, ...]] = {}
+    buckets: dict[tuple[int, ...], list[CosetTable]] = {}
     for t in tables:
-        form = next(_relabelings(t, (0,)))
-        if form not in key_of:
-            members = list(_relabelings(t, range(t.degree)))
-            key_of.update(dict.fromkeys(members, min(members)))
-        buckets.setdefault(key_of[form], []).append(t)
+        if t not in key_of:  # else t is a member's base-0 form, or a table met before
+            rows = list(zip(*t.perms()))
+            form = _relabeled(rows, 0)
+            if form not in key_of:
+                members = {_relabeled(rows, b) for b in range(t.degree)}
+                key_of.update(dict.fromkeys(members, min(map(_row_major, members))))
+            key_of[t] = key_of[form]
+        buckets.setdefault(key_of[t], []).append(t)
     return [buckets[key] for key in sorted(buckets)]
 
 

@@ -48,7 +48,7 @@ def scan_descriptor_to_table(d):
 
 
 def class_key(t):
-    """Minimum canonical form over all basepoints, one validated table each."""
+    """Minimum x + y + z form over all basepoints, one validated table each."""
     forms = (canonical_table(t, base) for base in range(t.degree))
     return min((f.x + f.y + f.z) for f in forms)
 
@@ -261,6 +261,23 @@ def test_searched_tables_are_standardized():
             assert canonical_table(t, 0) == t, t
 
 
+def check_classes_of_against_the_search(limit):
+    """For every n <= limit, classes_of lists the classes of low_index(n) in search order.
+
+    The least member of each class in row-major order is the table the search
+    keeps for it, and the class has one member per block of its Fix set.
+    """
+    searched = oracle._tables_up_to(limit)
+    for n in range(1, limit + 1):
+        classes = classes_of(low_index(n, search_limit=limit))
+        assert [min(c, key=oracle._row_major) for c in classes] == [t for t, _ in searched[n]], n
+        assert [len(c) for c in classes] == [len(oracle._blocks(t, fix)) for t, fix in searched[n]], n
+
+
+def test_classes_of_keys_each_class_by_the_table_the_search_keeps():
+    check_classes_of_against_the_search(24)
+
+
 def test_relators_are_the_first_three_relator_words():
     assert oracle._RELATORS == ((0, 2, 2, 1, 2, 2), (2, 0, 0, 3, 0, 0), (0, 2, 4))
 
@@ -324,7 +341,8 @@ def test_classes_of_groups_by_the_minimum_over_all_basepoints():
         by_key = {}
         for t in tables:
             by_key.setdefault(class_key(t), []).append(t)
-        assert classes_of(tables) == [by_key[k] for k in sorted(by_key)], n
+        # the same partition; check_classes_of_against_the_search checks the order
+        assert {tuple(c) for c in classes_of(tables)} == {tuple(c) for c in by_key.values()}, n
 
 
 def test_table_membership_agrees_with_contains():
