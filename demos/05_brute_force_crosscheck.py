@@ -23,16 +23,17 @@ for n in range(1, 13):
 
 print("\n== full three-way report at n = 8 ==")
 rep = oracle.cross_check(8, oracle_limit=12)
-print(" ", oracle.CSV_HEADER)
-for row in oracle.csv_rows(rep):
-    print(" ", ",".join(str(v) for v in row))
+print("  n,type,s_closed,s_catalog,s_oracle,c_closed,c_catalog,c_oracle,match")
+for r in rep.rows:
+    print(f"  {r.n},{r.iso},{r.s_closed},{r.s_catalog},{r.s_oracle},"
+          f"{r.c_closed},{r.c_catalog},{r.c_oracle},{str(r.match).lower()}")
 print("  catalog subgroup set == oracle subgroup set:", rep.tables_bijective)
 
 print("\n== one subgroup seen from both sides ==")
 d = catalog.enumerate_g2(6)[0]
 table = oracle.descriptor_to_table(d)
-match = [t for t in oracle.low_index(6, search_limit=12)
-         if oracle.canonical_table(t, 0) == oracle.canonical_table(table, 0)]
+form = oracle.canonical_table(table, 0)  # low_index's tables are their own base-0 forms
+match = [t for t in oracle.low_index(6, search_limit=12) if t == form]
 print(f"  descriptor {d}")
 print(f"  coset action: x->{table.x} y->{table.y} z->{table.z}")
 print(f"  appears in the brute-force list exactly {len(match)} time(s)")

@@ -16,7 +16,10 @@ header; a CSV row of another length raises TypeError), from _json_items (a JSON 
 formatted items) or, for ``enumerate`` CSV, from the blocks of ``catalog.iter_blocks``
 (one str.join per G2 plane).  A descriptor's text, CSV cell or JSON item, fills one
 template per record class and indent, read from ``catalog.FIELDS``; _object lays out the
-objects of the JSON templates.  Only ``series --format json`` imports json, where it runs.
+objects of the JSON templates.  ``verify`` reads the cells of each oracle.CountRow under
+its nine columns once for both formats; _csv_cell writes a cell as CSV text (None empty,
+a bool true or false) as _json_cell does as JSON.  Only ``series --format json`` imports
+json, where it runs.
 Exit codes: 0 success (verify: everything matches), 1 verification
 mismatch, 2 usage or I/O error (on stdout, the --out file or stderr).  Output
 is deterministic byte-for-byte.
@@ -128,6 +131,11 @@ def _json_cell(v):
     """The JSON text of a cell: None as null, a bool as true or false, text quoted (no escapes)."""
     return ("null" if v is None else str(v).lower() if type(v) is bool
             else f'"{v}"' if type(v) is str else v)
+
+
+def _csv_cell(v):
+    """The CSV text of a verify cell: None as empty, a bool as true or false."""
+    return "" if v is None else str(v).lower() if type(v) is bool else v
 
 
 def _json(header: Sequence[str], rows, indent: int = 0) -> Iterator[str]:
@@ -327,12 +335,16 @@ def _cmd_verify(args) -> int:
             yield r
 
     reports = checked()
-    header = oracle.CSV_HEADER.split(",")
+    header = ["n", "type", "s_closed", "s_catalog", "s_oracle",
+              "c_closed", "c_catalog", "c_oracle", "match"]
+    # the cells of a CountRow under the header, whose type column it names iso
+    cells = attrgetter(*[{"type": "iso"}.get(column, column) for column in header])
+    rows = (tuple(map(_csv_cell, cells(row))) for r in reports for row in r.rows)
     template = _object(['"n": %d', '"rows": %s', '"tables_bijective": %s'], 2)
-    items = (template % (r.n, "".join(_json(header, map(oracle.CountRow.cells, r.rows), 4)),
+    items = (template % (r.n, "".join(_json(header, map(cells, r.rows), 4)),
                          _json_cell(r.tables_bijective)) for r in reports)
-    _emit(args.out, _csv(header, chain.from_iterable(map(oracle.csv_rows, reports)))
-          if args.format == "csv" else chain(_json_items(items, 0), ["\n"]))
+    _emit(args.out, _csv(header, rows) if args.format == "csv"
+          else chain(_json_items(items, 0), ["\n"]))
     if bad_rows or bad_tables:
         _report("verify: MISMATCH at " + "; ".join(
             where + (f" ({why})" if why else "") for where, why in bad_rows + bad_tables))

@@ -45,7 +45,7 @@ by its signs s_l, and these images are all the orbits.  Every point of an
 orbit has its T, as Lambda is abelian, and a base b in it takes the vectors
 shifted by v(b): a letter whose image of b lies in the orbit belongs to H
 with translation v(b) - v of that image.  ``table_key``
-is the same reader at one base.  ``descriptor_key`` reads the key from
+is the same reader at the basepoint.  ``descriptor_key`` reads the key from
 ``catalog.abc_cosets``, which gives T over (a, b, c) for every type.  The
 key's number of letters is the stabilizer's type.
 Both keys speak normal forms, so the cross-check also checks that the
@@ -487,9 +487,9 @@ def _member_keys(t: _Images, bases: Iterable[int]) -> list[tuple]:
     return keys
 
 
-def table_key(t: CosetTable, base: int = 0) -> tuple:
-    """Subgroup key of the stabilizer of base (by default the basepoint), read off the table."""
-    return _member_keys(t, (base,))[0]
+def table_key(t: CosetTable) -> tuple:
+    """Subgroup key of the basepoint stabilizer, read off the table."""
+    return _member_keys(t, (0,))[0]
 
 
 def descriptor_key(d: Descriptor) -> tuple:
@@ -593,8 +593,8 @@ class CountRow(NamedTuple):
 
     Oracle columns are None beyond the oracle limit; match requires every
     present column to agree.  A catalog column is None when its computation
-    raised; ``failure`` then holds "type: message" of the exception.  The
-    report writers do not emit it.
+    raised; ``failure`` then holds "type: message" of the exception.
+    ``cli`` writes the row's columns and match; it does not write failure.
     """
 
     n: int
@@ -606,11 +606,6 @@ class CountRow(NamedTuple):
     c_catalog: int | None
     c_oracle: int | None
     failure: str | None = None
-
-    def cells(self) -> tuple:
-        """The row's values in CSV_HEADER order; an absent column is None."""
-        return (self.n, self.iso, self.s_closed, self.s_catalog, self.s_oracle,
-                self.c_closed, self.c_catalog, self.c_oracle, self.match)
 
     @property
     def match(self) -> bool:
@@ -626,7 +621,7 @@ class CrossCheckReport(NamedTuple):
     exception, or a relator that the normal-form arithmetic does not kill, or
     the first subgroup key in key order whose multiplicities differ: by the
     oracle's table when the oracle holds that key, else by the descriptor.
-    The writers omit it.
+    ``cli`` writes the rows and tables_bijective, and omits failure.
     """
 
     n: int
@@ -637,17 +632,6 @@ class CrossCheckReport(NamedTuple):
     @property
     def all_match(self) -> bool:
         return all(r.match for r in self.rows) and self.tables_bijective is not False
-
-CSV_HEADER = "n,type,s_closed,s_catalog,s_oracle,c_closed,c_catalog,c_oracle,match"
-
-
-def _csv_cell(v):
-    """None as an empty cell, a bool as true or false."""
-    return "" if v is None else str(v).lower() if type(v) is bool else v
-
-
-def csv_rows(report: CrossCheckReport) -> list[tuple]:
-    return [tuple(map(_csv_cell, r.cells())) for r in report.rows]
 
 
 def _arithmetic_failure() -> str | None:

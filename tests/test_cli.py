@@ -466,7 +466,8 @@ def test_verify_mismatch_names_the_exception(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH at n=1 type=g1 (RuntimeError: boom)" in err
     assert "boom" not in out
-    assert all(r["c_catalog"] == "" for r in csv.DictReader(io.StringIO(out)))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 6 and all(r["c_catalog"] == "" and r["match"] == "false" for r in rows)
 
 
 def test_verify_mismatch_names_the_descriptor_whose_table_fails(capsys, monkeypatch):

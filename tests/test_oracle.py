@@ -15,7 +15,6 @@ from hwcover.oracle import (
     canonical_table,
     classes_of,
     cross_check,
-    csv_rows,
     descriptor_key,
     descriptor_to_table,
     low_index,
@@ -420,14 +419,6 @@ def test_cross_check_trivial_index():
     assert rep.all_match
     g6 = next(r for r in rep.rows if r.iso == "g6")
     assert g6.s_oracle == g6.c_oracle == 1
-
-
-def test_csv_rows_shape():
-    rep = cross_check(2, oracle_limit=4)
-    rows = csv_rows(rep)
-    assert len(rows) == 3
-    assert rows[0][0] == 2 and rows[0][1] == "g1"
-    assert all(len(row) == 9 for row in rows)
 
 
 def test_hard_cap_guard():
