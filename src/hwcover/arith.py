@@ -84,16 +84,6 @@ def sigma0(n: Rational) -> int:
     return form_value(((1, 0, SIGMA0),), n)
 
 
-def sigma1(n: Rational) -> int:
-    """Sum of divisors of n."""
-    return form_value(((1, 0, (0, 1)),), n)
-
-
-def sigma2(n: Rational) -> int:
-    """sum over a*b = n of sigma1(a), equivalently sum over a*b*c = n of a."""
-    return form_value(((1, 0, SIGMA2),), n)
-
-
 def d3(n: Rational) -> int:
     """Number of ordered factorizations n = a*b*c."""
     return form_value(((1, 0, D3),), n)

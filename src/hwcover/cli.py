@@ -21,8 +21,8 @@ its nine columns once for both formats; _csv_cell writes a cell as CSV text (Non
 a bool true or false) as _json_cell does as JSON.  Only ``series --format json`` imports
 json, where it runs.
 Exit codes: 0 success (verify: everything matches), 1 verification
-mismatch, 2 usage or I/O error (on stdout, the --out file or stderr).  Output
-is deterministic byte-for-byte.
+mismatch, 2 usage, I/O (on stdout, the --out file or stderr) or out-of-memory
+error.  Output is deterministic byte-for-byte.
 """
 
 from __future__ import annotations
@@ -427,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        _report(f"error: {args.command}: out of memory")
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ has a unique normal form
 
 and an :class:`Element` stores the coset letter ``g`` together with the three
 half-exponents ``(a, b, c)``.  Storing half-exponents removes all parity
-bookkeeping; the full exponent vector is recovered by :meth:`Element.exponents`.
+bookkeeping: the exponent of x, y or z is twice its half-exponent plus that of g^2.
 
 Conventions (used consistently across the whole package):
 
@@ -90,10 +90,6 @@ class AffineIso(NamedTuple):
         s, t = self.signs, self.shift
         return (s[0] * point[0] + t[0], s[1] * point[1] + t[1], s[2] * point[2] + t[2])
 
-    @staticmethod
-    def identity() -> "AffineIso":
-        return AffineIso((1, 1, 1), (0, 0, 0))
-
     def __str__(self) -> str:
         comps = []
         for var, sign, t in zip("pqr", self.signs, self.shift):
@@ -145,11 +141,6 @@ class Element(NamedTuple):
     def conjugated_by(self, v: "Element") -> "Element":
         """g^v = v * g * v**-1 (see the module conjugation convention)."""
         return v * self * v.inverse()
-
-    def exponents(self) -> tuple[int, int, int]:
-        """Total exponents at x, y, z: 2 (a, b, c) plus the letter's, the half-exponents of g^2."""
-        _, qa, qb, qc = LETTER_PRODUCT[self.letter, self.letter]
-        return 2 * self.a + qa, 2 * self.b + qb, 2 * self.c + qc
 
     def to_affine(self) -> AffineIso:
         """Faithful affine image (letter isometry, then the translation)."""

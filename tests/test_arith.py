@@ -27,8 +27,6 @@ from hwcover.arith import (
     gf_coeffs,
     omega,
     sigma0,
-    sigma1,
-    sigma2,
     zeta_coeffs,
     zeta_product,
 )
@@ -51,10 +49,6 @@ def brute_sigma0(n):
     return len(brute_pairs(n))
 
 
-def brute_sigma1(n):
-    return sum(a for a, _ in brute_pairs(n))
-
-
 def brute_sigma2(n):
     return sum(a for a, _, _ in brute_triples(n))
 
@@ -69,9 +63,13 @@ def brute_omega(n):
 
 # --- divisor functions -------------------------------------------------------
 
+def sigma2(n):
+    """The base SIGMA2 at n, read through form_value as the closed forms read it."""
+    return form_value(((1, 0, SIGMA2),), n)
+
+
 def test_frozen_spot_values_rederived_by_the_oracle():
-    assert sigma1(1) == d3(1) == omega(1) == 1
-    assert sigma1(6) == 12 == brute_sigma1(6)
+    assert sigma2(1) == d3(1) == omega(1) == 1
     assert omega(2) == 7 == brute_omega(2)
     assert d3(12) == 18 == brute_d3(12)
     assert sigma2(4) == 11 == brute_sigma2(4)
@@ -80,7 +78,7 @@ def test_frozen_spot_values_rederived_by_the_oracle():
 
 
 @pytest.mark.parametrize("fn,brute", [
-    (sigma0, brute_sigma0), (sigma1, brute_sigma1), (sigma2, brute_sigma2),
+    (sigma0, brute_sigma0), (sigma2, brute_sigma2),
     (d3, brute_d3), (omega, brute_omega),
 ])
 def test_divisor_functions_match_brute_force(fn, brute):
@@ -89,7 +87,7 @@ def test_divisor_functions_match_brute_force(fn, brute):
 
 
 def test_vanishing_convention():
-    for fn in (sigma0, sigma1, sigma2, d3, omega):
+    for fn in (sigma0, sigma2, d3, omega):
         assert fn(Fraction(6, 4)) == 0
         assert fn(Fraction(3, 2)) == 0
         assert fn(0) == 0
@@ -99,7 +97,7 @@ def test_vanishing_convention():
 
 def test_multiplicativity_on_random_coprime_pairs():
     rng = random.Random(7)
-    for fn in (sigma0, sigma1, sigma2, d3, omega):
+    for fn in (sigma0, sigma2, d3, omega):
         for _ in range(200):
             m, n = rng.randint(1, 400), rng.randint(1, 400)
             if math.gcd(m, n) != 1:

@@ -721,6 +721,22 @@ def test_closed_stderr_pipe_exits_2(argv):
     assert proc.returncode == 2
 
 
+def test_out_of_memory_exits_2_without_a_traceback():
+    # exit 1 is a verify mismatch.  The command's entry raises MemoryError itself: a
+    # real allocation that large may be granted under overcommit and the child killed.
+    for argv, entry in ((["count", "--max", "4"], "count_arrays"),
+                        (["classes", "--index", "4", "--format", "json"], "iter_classes")):
+        code = ("import sys; from hwcover import catalog, cli\n"
+                "def refuse(*args): raise MemoryError\n"
+                f"catalog.{entry} = refuse\n"
+                f"sys.exit(cli.main({argv!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: {argv[0]}: out of memory\n"
+        assert proc.stdout == ""
+
+
 def test_import_leaves_out_the_introspection_modules():
     # dataclasses imports inspect, which imports ast, dis and tokenize: about
     # a third of the time that importing hwcover.cli took.  The interpreter's

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hwcover import catalog
-from hwcover.arith import sigma1, omega
+from hwcover.arith import omega
 from hwcover.lattice import (
     Hnf2,
     Hnf3,
@@ -30,7 +30,7 @@ def brute_sigma1(n):
 def test_2d_counts():
     for n in range(1, 40):
         lats = hnf2_all(n)
-        assert len(lats) == sigma1(n) == brute_sigma1(n)
+        assert len(lats) == brute_sigma1(n)
         assert len(set(lats)) == len(lats)
         assert all(h.index == n for h in lats)
 

@@ -7,8 +7,9 @@ routes.  Each returns what it counted and checks nothing itself; the
 ``*_closed_form`` functions give the value the rows predict.
 ``NESTED_DIVISOR_SUMS`` evaluates the named bases of the rows by plain nested
 divisor sums, not by their Euler products.  ``congruence_contains`` tests
-membership by congruences on the exponents, derived per type by hand, where
-the library reads one coset structure from ``catalog.cosets``.
+membership by congruences on the exponents that ``total_exponents`` computes,
+derived per type by hand, where the library reads one coset structure from
+``catalog.cosets`` and stores only half-exponents.
 ``unpruned_search`` runs the walk ``oracle._backtrack`` with a step that
 keeps every child, where ``oracle._search`` passes a step that prunes: it
 returns every subgroup, not one table per conjugacy class.
@@ -37,9 +38,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hwcover import arith, catalog, cli, oracle
 from hwcover.arith import d3, d3_alternating, divisors, form_value
-from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, Element
+from hwcover.group import E, GEN_X, GEN_Y, GEN_Z, LETTER_PRODUCT, Element
 from hwcover.lattice import hnf2_all, hnf2_of, hnf3_of, transform2, transform3
 from hwcover.oracle import CosetTable
+
+
+def total_exponents(g: Element) -> tuple[int, int, int]:
+    """Exponents of g at x, y, z: 2 (a, b, c) plus the half-exponents of its letter's square."""
+    _, qa, qb, qc = LETTER_PRODUCT[g.letter, g.letter]
+    return 2 * g.a + qa, 2 * g.b + qb, 2 * g.c + qc
 
 
 def congruence_contains(d: catalog.Descriptor, g: Element) -> bool:
@@ -63,7 +70,7 @@ def congruence_contains(d: catalog.Descriptor, g: Element) -> bool:
     A = (m - 1 + 2 * d.v) % (2 * m)
     B = (1 - k + 2 * d.w) % (2 * k)
     C = (l - 1 + 2 * d.u) % (2 * l)
-    ex, ey, ez = g.exponents()
+    ex, ey, ez = total_exponents(g)
     if g.letter == E:
         return ex % (2 * m) == 0 and ey % (2 * k) == 0 and ez % (2 * l) == 0
     if g.letter == "x":
